@@ -1440,6 +1440,7 @@ mod tests {
             ador_units::Bandwidth::from_gbps(64.0),
             Seconds::from_millis(0.25),
         )
+        .unwrap()
     }
 
     fn pd_fleet(prefill: usize, decode: usize) -> FleetSpec {
@@ -1541,7 +1542,8 @@ mod tests {
         let slow = run(KvLink::new(
             ador_units::Bandwidth::from_gbps(1.0),
             Seconds::from_millis(20.0),
-        ));
+        )
+        .unwrap());
         let (fast_qos, slow_qos) = (fast.fleet.unwrap(), slow.fleet.unwrap());
         // A slower link cannot change TTFT (prefill side is untouched)
         // but must show up in the handoff gap and end-to-end latency.

@@ -12,7 +12,7 @@
 //! link bandwidth, plus a fixed latency), charged on the event clock.
 
 use ador_hw::Architecture;
-use ador_serving::SimConfig;
+use ador_serving::{SimConfig, SimError};
 use ador_units::{Bandwidth, Seconds};
 use serde::Serialize;
 
@@ -169,15 +169,20 @@ pub struct KvLink {
 impl KvLink {
     /// Creates a link.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics unless both bandwidth and latency are strictly positive.
-    pub fn new(bandwidth: Bandwidth, latency: Seconds) -> Self {
-        assert!(
-            bandwidth.as_bytes_per_sec() > 0.0 && latency.get() > 0.0,
-            "KV links need positive bandwidth and latency"
-        );
-        Self { bandwidth, latency }
+    /// Returns [`SimError::InvalidBounds`] (bandwidth in bytes/s, latency
+    /// in seconds) unless both are strictly positive.
+    pub fn new(bandwidth: Bandwidth, latency: Seconds) -> Result<Self, SimError> {
+        let (bytes_per_sec, secs) = (bandwidth.as_bytes_per_sec(), latency.get());
+        if bytes_per_sec > 0.0 && secs > 0.0 {
+            Ok(Self { bandwidth, latency })
+        } else {
+            Err(SimError::InvalidBounds {
+                lo: bytes_per_sec,
+                hi: secs,
+            })
+        }
     }
 }
 
@@ -221,8 +226,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "positive bandwidth")]
     fn zero_latency_links_are_rejected() {
-        let _ = KvLink::new(ador_units::Bandwidth::from_gbps(100.0), Seconds::new(0.0));
+        let zero_latency = KvLink::new(Bandwidth::from_gbps(100.0), Seconds::new(0.0));
+        assert!(matches!(zero_latency, Err(SimError::InvalidBounds { hi, .. }) if hi == 0.0));
+        let zero_bandwidth = KvLink::new(Bandwidth::from_gbps(0.0), Seconds::from_millis(0.5));
+        assert!(matches!(zero_bandwidth, Err(SimError::InvalidBounds { lo, .. }) if lo == 0.0));
+        assert!(KvLink::new(Bandwidth::from_gbps(100.0), Seconds::from_millis(0.5)).is_ok());
     }
 }

@@ -269,7 +269,10 @@ pub fn disagg_mix(aggregate: f64) -> TenantMix {
 /// latency, small against second-scale TTFT contracts but real enough
 /// that the transfer accounting is exercised.
 pub fn disagg_link() -> KvLink {
-    KvLink::new(Bandwidth::from_gbps(64.0), Seconds::from_millis(0.5))
+    KvLink {
+        bandwidth: Bandwidth::from_gbps(64.0),
+        latency: Seconds::from_millis(0.5),
+    }
 }
 
 /// The pinned per-replica engine config of the disaggregation scenario:

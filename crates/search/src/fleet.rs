@@ -141,12 +141,16 @@ impl FleetSearchOutcome {
 ///
 /// # Errors
 ///
-/// Propagates the first engine construction or simulation error.
+/// Returns [`SimError::TooFewReplicas`] for fewer than 2 replicas (there
+/// is no prefill/decode split to search), and propagates the first
+/// engine construction or simulation error.
 pub fn co_explore(input: &FleetSearchInput<'_>) -> Result<FleetSearchOutcome, SimError> {
-    assert!(
-        input.replicas >= 2,
-        "a fleet search needs at least 2 replicas"
-    );
+    if input.replicas < 2 {
+        return Err(SimError::TooFewReplicas {
+            replicas: input.replicas,
+            min: 2,
+        });
+    }
     let mut candidates = Vec::new();
 
     // Homogeneous aggregated fleets: each chip × each front-door policy.
@@ -302,6 +306,29 @@ mod tests {
             .all(|c| c.prefill_replicas + c.decode_replicas == 2
                 || (!c.disaggregated && c.prefill_replicas == 2)));
         assert!(!a.homogeneous_baseline().disaggregated);
+    }
+
+    #[test]
+    fn single_replica_searches_are_rejected() {
+        let model = presets::llama3_8b();
+        let mix = scenarios::disagg_mix(12.0);
+        for replicas in [0, 1] {
+            let input = FleetSearchInput {
+                model: &model,
+                mix: &mix,
+                chips: FleetChips::ador_defaults(),
+                replicas,
+                engine: scenarios::disagg_engine(),
+                link: scenarios::disagg_link(),
+                requests: 60,
+                seed: scenarios::DISAGG_SEED,
+                target_attainment: 0.9,
+            };
+            assert_eq!(
+                co_explore(&input).unwrap_err(),
+                SimError::TooFewReplicas { replicas, min: 2 }
+            );
+        }
     }
 
     #[test]

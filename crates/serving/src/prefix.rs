@@ -22,12 +22,16 @@
 //!   leaf first. Because every holder of a block also holds all its
 //!   ancestors, a refcount-0 block never has a referenced descendant, so
 //!   leaf-first eviction can always free the entire dead tail of a chain.
+//! - The evictable leaves are kept in an index ordered by
+//!   `(last_use, slot)`, updated wherever a block's refcount or child set
+//!   changes, so eviction pops the LRU leaf in `O(log n)` instead of
+//!   scanning the trie; equal `last_use` values go to the lower slot.
 //!
 //! The cache deliberately owns no budget of its own: it shares the
 //! engine's token-granular KV budget, and the [`Engine`](crate::Engine)
 //! drives eviction (`evict`) before resorting to preemption.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use ador_units::conv;
 
@@ -109,6 +113,10 @@ pub struct PrefixCache {
     referenced: usize,
     /// Logical clock for LRU ordering; bumped once per acquire/extend.
     clock: u64,
+    /// Evictable-leaf index: exactly the live, non-root nodes with
+    /// `refs == 0` and no children, keyed `(last_use, slot)` so the first
+    /// entry is the least-recently-used leaf (ties to the lower slot).
+    leaves: BTreeSet<(u64, usize)>,
     stats: PrefixCacheStats,
 }
 
@@ -138,6 +146,7 @@ impl PrefixCache {
             live: 0,
             referenced: 0,
             clock: 0,
+            leaves: BTreeSet::new(),
             stats: PrefixCacheStats::default(),
         }
     }
@@ -183,11 +192,7 @@ impl PrefixCache {
                 break;
             };
             node = child;
-            if self.nodes[node].refs == 0 {
-                self.referenced += 1;
-            }
-            self.nodes[node].refs += 1;
-            self.nodes[node].last_use = self.clock;
+            self.hold(node);
             matched += 1;
         }
         (matched * PREFIX_BLOCK_TOKENS, node)
@@ -227,7 +232,11 @@ impl PrefixCache {
                 Some(&c) => c,
                 None => {
                     let c = self.alloc(hash, node);
-                    self.nodes[node].children.insert(hash, c);
+                    let parent = &mut self.nodes[node];
+                    if parent.children.is_empty() {
+                        self.leaves.remove(&(parent.last_use, node));
+                    }
+                    parent.children.insert(hash, c);
                     self.live += 1;
                     fresh += 1;
                     self.stats.inserted_tokens += PREFIX_BLOCK_TOKENS;
@@ -235,11 +244,7 @@ impl PrefixCache {
                 }
             };
             node = child;
-            if self.nodes[node].refs == 0 {
-                self.referenced += 1;
-            }
-            self.nodes[node].refs += 1;
-            self.nodes[node].last_use = self.clock;
+            self.hold(node);
             depth += 1;
         }
         (node, fresh * PREFIX_BLOCK_TOKENS)
@@ -255,6 +260,9 @@ impl PrefixCache {
             n.refs -= 1;
             if n.refs == 0 {
                 self.referenced -= 1;
+                if n.children.is_empty() {
+                    self.leaves.insert((n.last_use, node));
+                }
             }
             node = n.parent;
         }
@@ -264,33 +272,18 @@ impl PrefixCache {
     /// `want_tokens` are freed or nothing evictable remains. Returns the
     /// tokens actually freed.
     ///
-    /// One slab scan seeds a min-heap of evictable leaves; evicting a
-    /// leaf that exposes its parent pushes the parent, so a whole dead
-    /// chain drains in LRU order without rescanning — `O(n)` once per
-    /// call instead of per block.
+    /// Pops the evictable-leaf index; evicting a leaf that exposes a dead
+    /// parent inserts the parent, so a whole dead chain drains in LRU
+    /// order — `O(k log n)` for `k` evicted blocks, without allocating.
     pub fn evict(&mut self, want_tokens: usize) -> usize {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        if want_tokens == 0 || self.live == self.referenced {
-            return 0;
-        }
-        let mut candidates: BinaryHeap<Reverse<(u64, usize)>> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|&(i, n)| i != ROOT && n.hash != DEAD && n.refs == 0 && n.children.is_empty())
-            .map(|(i, n)| Reverse((n.last_use, i)))
-            .collect();
         let mut freed = 0usize;
         while freed < want_tokens {
-            let Some(Reverse((_, v))) = candidates.pop() else {
+            let Some((_, v)) = self.leaves.pop_first() else {
                 break;
             };
             let (hash, parent) = (self.nodes[v].hash, self.nodes[v].parent);
             self.nodes[parent].children.remove(&hash);
             self.nodes[v].hash = DEAD;
-            self.nodes[v].children = BTreeMap::new();
             self.free_slots.push(v);
             self.live -= 1;
             freed += PREFIX_BLOCK_TOKENS;
@@ -298,10 +291,44 @@ impl PrefixCache {
             // The eviction may have exposed a new dead leaf above it.
             let p = &self.nodes[parent];
             if parent != ROOT && p.refs == 0 && p.children.is_empty() {
-                candidates.push(Reverse((p.last_use, parent)));
+                self.leaves.insert((p.last_use, parent));
             }
         }
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(
+            self.leaves,
+            self.leaves_oracle(),
+            "evictable-leaf index drifted from the slab scan"
+        );
         freed
+    }
+
+    /// Recompute-from-scratch definition of the evictable-leaf index —
+    /// the slab scan the index replaces, kept as the oracle debug builds
+    /// check it against after every eviction.
+    #[cfg(debug_assertions)]
+    fn leaves_oracle(&self) -> BTreeSet<(u64, usize)> {
+        self.nodes
+            .iter()
+            .enumerate()
+            .filter(|&(i, n)| i != ROOT && n.hash != DEAD && n.refs == 0 && n.children.is_empty())
+            .map(|(i, n)| (n.last_use, i))
+            .collect()
+    }
+
+    /// Takes one reference on `node` and stamps it with the current
+    /// clock. A block going from 0 to 1 references leaves the
+    /// evictable-leaf index (keyed by its old `last_use`).
+    fn hold(&mut self, node: usize) {
+        let n = &mut self.nodes[node];
+        if n.refs == 0 {
+            self.referenced += 1;
+            if n.children.is_empty() {
+                self.leaves.remove(&(n.last_use, node));
+            }
+        }
+        n.refs += 1;
+        n.last_use = self.clock;
     }
 
     fn alloc(&mut self, hash: u64, parent: usize) -> usize {
@@ -468,6 +495,26 @@ mod tests {
         assert!(c.nodes.len() <= 3, "slab grew to {}", c.nodes.len());
         assert_eq!(c.resident_tokens(), 0);
         assert_eq!(c.stats().evicted_tokens, 8 * B);
+    }
+
+    #[test]
+    fn equal_last_use_evicts_the_lower_slot_first() {
+        let mut c = PrefixCache::new();
+        let (_, n) = c.acquire(1, 0);
+        let (low, _) = c.extend(1, n, 0, B);
+        let (_, n) = c.acquire(2, 0);
+        let (high, _) = c.extend(2, n, 0, B);
+        assert!(low < high);
+        // Distinct chains never share a clock value on their own; force
+        // the tie while both blocks are held (so neither is indexed yet).
+        c.nodes[high].last_use = c.nodes[low].last_use;
+        // Release the higher slot first so index insertion order cannot
+        // stand in for the tie-break.
+        c.release(high);
+        c.release(low);
+        assert_eq!(c.evict(B), B);
+        assert_eq!(c.acquire(1, B).0, 0, "the lower slot went first");
+        assert_eq!(c.acquire(2, B).0, B, "the higher slot survived");
     }
 
     #[test]

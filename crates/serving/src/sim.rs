@@ -181,17 +181,26 @@ pub enum SimError {
         /// Tokens of KV budget available.
         budget_tokens: usize,
     },
-    /// A capacity search was given a bad rate bracket.
+    /// A bounded pair of inputs is out of range: a capacity search's
+    /// rate bracket (needs `0 < lo < hi`), or a KV link's bandwidth and
+    /// latency (both need to be positive).
     InvalidBounds {
-        /// Lower bracket end (req/s).
+        /// Lower bracket end (req/s), or link bandwidth (bytes/s).
         lo: f64,
-        /// Upper bracket end (req/s).
+        /// Upper bracket end (req/s), or link latency (s).
         hi: f64,
     },
     /// A replayed request has a zero-length prompt or response.
     InvalidRequest {
         /// Id of the offending request.
         id: u64,
+    },
+    /// A fleet search was asked for fewer replicas than it needs.
+    TooFewReplicas {
+        /// Replicas requested.
+        replicas: usize,
+        /// Replicas the search needs at least.
+        min: usize,
     },
 }
 
@@ -207,10 +216,20 @@ impl fmt::Display for SimError {
                 )
             }
             SimError::InvalidBounds { lo, hi } => {
-                write!(f, "invalid capacity bounds ({lo}, {hi}): need 0 < lo < hi")
+                write!(
+                    f,
+                    "invalid bounds ({lo}, {hi}): a rate bracket needs 0 < lo < hi, \
+                     a KV link positive bandwidth and latency"
+                )
             }
             SimError::InvalidRequest { id } => {
                 write!(f, "request {id} has a zero-length prompt or response")
+            }
+            SimError::TooFewReplicas { replicas, min } => {
+                write!(
+                    f,
+                    "{replicas} replicas requested, the search needs at least {min}"
+                )
             }
         }
     }

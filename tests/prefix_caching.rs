@@ -1,9 +1,10 @@
 //! Prefix-cache regression tests: the pinned cache-on-vs-off win on the
 //! session workload, the pinned cache-affinity-vs-scatter routing win,
-//! and property tests for the refcounted shared-block bookkeeping and the
-//! KV-budget invariant under caching.
+//! and property tests for the refcounted shared-block bookkeeping, the
+//! eviction order, and the KV-budget invariant under caching.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 
 use ador::cluster::scenarios::{
     session_fleet, session_workload, SESSION_ENGINE_RATE, SESSION_RATE, SESSION_REQUESTS,
@@ -136,6 +137,198 @@ fn cache_affinity_routing_is_deterministic() {
         pinned_whole_run,
         replicas_of.len()
     );
+}
+
+/// One block of [`ScanModel`]'s trie.
+#[derive(Debug, Clone, Default)]
+struct ModelNode {
+    live: bool,
+    group: u64,
+    parent: usize,
+    /// Children keyed by prefix group: a group's blocks form one chain.
+    children: BTreeMap<u64, usize>,
+    refs: usize,
+    last_use: u64,
+}
+
+/// Reference model of [`PrefixCache`] with the eviction it was first
+/// written with: every `evict` call scans the whole slab for
+/// unreferenced leaves and heapifies them by `(last_use, slot)`, pushing
+/// a parent when evicting its last child exposes it. Slot 0 is the root.
+struct ScanModel {
+    nodes: Vec<ModelNode>,
+    free: Vec<usize>,
+    clock: u64,
+}
+
+impl ScanModel {
+    fn new() -> Self {
+        Self {
+            nodes: vec![ModelNode::default()],
+            free: Vec::new(),
+            clock: 0,
+        }
+    }
+
+    fn resident_tokens(&self) -> usize {
+        self.nodes.iter().filter(|n| n.live).count() * PREFIX_BLOCK_TOKENS
+    }
+
+    fn hold(&mut self, v: usize) {
+        self.nodes[v].refs += 1;
+        self.nodes[v].last_use = self.clock;
+    }
+
+    fn acquire(&mut self, group: u64, want_tokens: usize) -> (usize, usize) {
+        self.clock += 1;
+        let (mut v, mut matched) = (0, 0);
+        while matched < want_tokens / PREFIX_BLOCK_TOKENS {
+            let Some(&c) = self.nodes[v].children.get(&group) else {
+                break;
+            };
+            v = c;
+            self.hold(v);
+            matched += 1;
+        }
+        (matched * PREFIX_BLOCK_TOKENS, v)
+    }
+
+    fn extend(&mut self, group: u64, mut v: usize, held: usize, context: usize) -> (usize, usize) {
+        self.clock += 1;
+        let mut fresh = 0;
+        for _ in held / PREFIX_BLOCK_TOKENS..context / PREFIX_BLOCK_TOKENS {
+            let c = if let Some(&c) = self.nodes[v].children.get(&group) {
+                c
+            } else {
+                let node = ModelNode {
+                    live: true,
+                    group,
+                    parent: v,
+                    ..ModelNode::default()
+                };
+                let c = if let Some(slot) = self.free.pop() {
+                    self.nodes[slot] = node;
+                    slot
+                } else {
+                    self.nodes.push(node);
+                    self.nodes.len() - 1
+                };
+                self.nodes[v].children.insert(group, c);
+                fresh += PREFIX_BLOCK_TOKENS;
+                c
+            };
+            v = c;
+            self.hold(v);
+        }
+        (v, fresh)
+    }
+
+    fn release(&mut self, mut v: usize) {
+        while v != 0 {
+            self.nodes[v].refs -= 1;
+            v = self.nodes[v].parent;
+        }
+    }
+
+    fn evict(&mut self, want_tokens: usize) -> usize {
+        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = self
+            .nodes
+            .iter()
+            .enumerate()
+            .filter(|&(i, n)| i != 0 && n.live && n.refs == 0 && n.children.is_empty())
+            .map(|(i, n)| Reverse((n.last_use, i)))
+            .collect();
+        let mut freed = 0;
+        while freed < want_tokens {
+            let Some(Reverse((_, v))) = heap.pop() else {
+                break;
+            };
+            let (group, p) = (self.nodes[v].group, self.nodes[v].parent);
+            self.nodes[p].children.remove(&group);
+            self.nodes[v].live = false;
+            self.free.push(v);
+            freed += PREFIX_BLOCK_TOKENS;
+            let parent = &self.nodes[p];
+            if p != 0 && parent.refs == 0 && parent.children.is_empty() {
+                heap.push(Reverse((parent.last_use, p)));
+            }
+        }
+        freed
+    }
+}
+
+/// A request's hold on the cache, mirrored in the cache and the model.
+struct Holder {
+    group: u64,
+    node: usize,
+    model_node: usize,
+    held_tokens: usize,
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Eviction order: random interleavings of `acquire`, `extend`,
+    /// `release` and small `evict`s over a few groups free exactly the
+    /// tokens the slab-scan reference model frees, keep the same resident
+    /// population, and leave the same per-group prefixes matchable — so
+    /// the evictable-leaf index evicts the same blocks in the same order.
+    #[test]
+    fn eviction_order_matches_the_slab_scan_model(
+        ops in proptest::collection::vec(0u8..4, 80),
+        groups in proptest::collection::vec(0u64..4, 80),
+        sizes in proptest::collection::vec(0usize..6 * PREFIX_BLOCK_TOKENS, 80),
+    ) {
+        let b = PREFIX_BLOCK_TOKENS;
+        let mut cache = PrefixCache::new();
+        let mut model = ScanModel::new();
+        let mut holders: Vec<Holder> = Vec::new();
+        for ((&op, &group), &size) in ops.iter().zip(&groups).zip(&sizes) {
+            match op {
+                0 => {
+                    let (matched, node) = cache.acquire(group, size);
+                    let (model_matched, model_node) = model.acquire(group, size);
+                    prop_assert_eq!(matched, model_matched);
+                    holders.push(Holder { group, node, model_node, held_tokens: matched });
+                }
+                1 if !holders.is_empty() => {
+                    let pick = size % holders.len();
+                    let h = &mut holders[pick];
+                    let context = h.held_tokens + size;
+                    let (node, fresh) = cache.extend(h.group, h.node, h.held_tokens, context);
+                    let (model_node, model_fresh) =
+                        model.extend(h.group, h.model_node, h.held_tokens, context);
+                    prop_assert_eq!(fresh, model_fresh);
+                    h.node = node;
+                    h.model_node = model_node;
+                    h.held_tokens = context / b * b;
+                }
+                2 if !holders.is_empty() => {
+                    let h = holders.swap_remove(size % holders.len());
+                    cache.release(h.node);
+                    model.release(h.model_node);
+                }
+                _ => {
+                    let want = size % (3 * b) + 1;
+                    prop_assert_eq!(cache.evict(want), model.evict(want));
+                }
+            }
+            prop_assert_eq!(cache.resident_tokens(), model.resident_tokens());
+        }
+        for group in 0..4 {
+            let (matched, node) = cache.acquire(group, usize::MAX / 2);
+            let (model_matched, model_node) = model.acquire(group, usize::MAX / 2);
+            prop_assert_eq!(matched, model_matched, "group {} prefix differs", group);
+            cache.release(node);
+            model.release(model_node);
+        }
+        for h in holders {
+            cache.release(h.node);
+            model.release(h.model_node);
+        }
+        prop_assert_eq!(cache.evict(usize::MAX / 2), model.evict(usize::MAX / 2));
+        prop_assert_eq!(cache.resident_tokens(), 0);
+    }
 }
 
 proptest! {
