@@ -673,10 +673,11 @@ pub mod schema {
     pub const ATTRIBUTION_OVERHEAD_CAP: f64 = 1.10;
 
     /// Maximum accepted steady-state-decode allocations per engine step
-    /// in a full-run artifact. The step loop reuses its scratch buffers,
-    /// so per-step allocation pressure is bounded by batch bookkeeping,
-    /// not token counts; the cap holds headroom over the measured grid
-    /// while still catching an accidental per-step `Vec` rebuild.
+    /// in a full-run artifact. A non-speculating step keeps its per-step
+    /// state on the admitted requests and allocates nothing outside the
+    /// timing stage, whose cost-model memo misses insert into a map; the
+    /// cap holds headroom over the measured grid while still catching an
+    /// accidental per-token allocation.
     pub const STEADY_DECODE_ALLOCS_PER_STEP_CAP: f64 = 256.0;
 
     /// Validates a `BENCH_attribution.json` document (emitted by the

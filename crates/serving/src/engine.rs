@@ -125,13 +125,26 @@ struct Active {
     /// [`EventDetail::Lifecycle`] only the phase-boundary commit and
     /// draft-carrying verify steps reach the sink.
     traced_commit: bool,
+    /// This step's verify plan: `Some` exactly for requests decoding at
+    /// the start of the step. Reset by the speculation stage.
+    plan: Option<Verify>,
+    /// Prefill tokens granted to this request this step (0 for none).
+    /// Reset by the speculation stage, set by admission.
+    take: usize,
 }
 
 impl Active {
     /// `imported` tokens arrive with their KV already materialized (a
     /// disaggregated handoff): they join `kv_held` at admission and are
     /// excluded from the prefill pass alongside the prefix-cache hit.
-    fn admit(job: Job, cached_tokens: usize, cache_node: usize, imported: usize) -> Self {
+    /// `take` is the prefill chunk granted in the admitting step.
+    fn admit(
+        job: Job,
+        cached_tokens: usize,
+        cache_node: usize,
+        imported: usize,
+        take: usize,
+    ) -> Self {
         let prefill_target = job.prefill_target() - cached_tokens - imported;
         Self {
             job,
@@ -141,6 +154,8 @@ impl Active {
             cached_tokens,
             cache_node,
             traced_commit: false,
+            plan: None,
+            take,
         }
     }
 
@@ -151,6 +166,31 @@ impl Active {
     /// Full resident context: private KV plus shared prefix blocks.
     fn context(&self) -> usize {
         self.kv_held + self.cached_tokens
+    }
+}
+
+/// Per-step totals the stages hand each other: what the speculation
+/// stage planned, net of preempted victims, plus the admission stage's
+/// prefill chunks.
+#[derive(Debug, Default)]
+struct StepTally {
+    /// Requests decoding this step.
+    decoders: usize,
+    /// KV tokens the planned commits add (one per decoder without
+    /// speculation).
+    growth: usize,
+    /// Draft tokens the verify plans propose.
+    drafted: usize,
+    /// Prefill chunks granted.
+    chunks: usize,
+    /// Prefill tokens granted across those chunks.
+    prefill_tokens: usize,
+}
+
+impl StepTally {
+    fn add_chunk(&mut self, take: usize) {
+        self.chunks += 1;
+        self.prefill_tokens += take;
     }
 }
 
@@ -370,11 +410,14 @@ impl<'a> Engine<'a> {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidRequest`] for a zero-length prompt or
-    /// response and [`SimError::NoKvHeadroom`] if the request's full
-    /// context can never fit the KV budget (admitting it would wedge the
-    /// queue).
+    /// response or an acceptance rate outside `[0, 1]` (NaN included),
+    /// and [`SimError::NoKvHeadroom`] if the request's full context can
+    /// never fit the KV budget (admitting it would wedge the queue).
     pub fn submit(&mut self, request: Request) -> Result<(), SimError> {
-        if request.input_tokens == 0 || request.output_tokens == 0 {
+        let bad_rate = request
+            .accept_rate
+            .is_some_and(|rate| !(0.0..=1.0).contains(&rate));
+        if request.input_tokens == 0 || request.output_tokens == 0 || bad_rate {
             return Err(SimError::InvalidRequest { id: request.id });
         }
         if request.total_tokens() > self.kv_budget_tokens {
@@ -590,24 +633,14 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
+    /// One engine iteration: the five stages of [`crate::profile::Stage`]
+    /// in order, retried from the top when admission stalls on an
+    /// all-prefill batch with no KV headroom.
     fn step_inner(&mut self, horizon: Option<Seconds>) -> Result<StepEvent, SimError> {
         #[cfg(feature = "profile")]
         let mut profile_mark = crate::profile::probe_now();
         loop {
-            // Move arrivals into the admission queue (preempted jobs were
-            // pushed to the front and resume first).
-            while self.pending.front().is_some_and(|r| r.arrival <= self.now) {
-                // ador-lint: allow(panic) — invariant: front() was Some on the line above
-                let request = self.pending.pop_front().expect("peeked");
-                Self::emit(
-                    &mut self.sink,
-                    request.arrival,
-                    request.id,
-                    EventKind::Enqueue,
-                );
-                self.waiting
-                    .push_back(Job::new(request, self.cfg.speculation.seed));
-            }
+            self.arrivals();
             #[cfg(feature = "profile")]
             self.profile
                 .record(crate::profile::Stage::Arrivals, &mut profile_mark);
@@ -620,434 +653,22 @@ impl<'a> Engine<'a> {
                     _ => return Ok(StepEvent::Idle),
                 }
             }
-
-            // Speculation plan: assign each decoding request a draft
-            // depth, run its seeded verify draw, and commit
-            // `accepted + 1` tokens this step — exactly 1 with
-            // speculation off. Planned before the KV-pressure check
-            // because multi-token commits are this step's KV growth.
-            let mut decoders = self.active.iter().filter(|a| a.is_decoding()).count();
-            let spec = self.cfg.speculation;
-            let mut depths = vec![0usize; self.active.len()];
-            match spec.policy {
-                _ if !spec.speculates() => {}
-                SpeculationPolicy::Off => {}
-                SpeculationPolicy::Fixed(k) => {
-                    // Naive fleet-wide speculation: every decoder drafts k
-                    // tokens, whatever its SLO slack or the batch load.
-                    let k = k.min(spec.max_depth);
-                    for (i, a) in self.active.iter().enumerate() {
-                        if a.is_decoding() {
-                            depths[i] = k;
-                        }
-                    }
-                }
-                SpeculationPolicy::SloAdaptive => {
-                    // SLO-customized speculation: latency-contracted
-                    // decoders bid with their TBT urgency, and the
-                    // per-step verify-token budget is spent
-                    // most-urgent-first (ties toward the older request),
-                    // so throughput tenants never pay latency tenants'
-                    // verify overhead.
-                    let mut bids: Vec<(usize, f64, usize)> = self
-                        .active
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, a)| a.is_decoding())
-                        .filter_map(|(i, a)| {
-                            let urgency = spec.urgency(
-                                a.job.request.slo.and_then(|s| s.tbt_max),
-                                a.job.mean_tbt_so_far(),
-                            )?;
-                            let room = a.job.request.output_tokens - a.job.generated - 1;
-                            Some((i, urgency, room))
-                        })
-                        .collect();
-                    bids.sort_by(|a, b| {
-                        b.1.partial_cmp(&a.1)
-                            // ador-lint: allow(panic) — invariant: urgency is a ratio of finite positive times
-                            .expect("urgency is never NaN")
-                            .then(a.0.cmp(&b.0))
-                    });
-                    let mut budget = spec.budget_tokens(self.cfg.max_batch);
-                    for (i, urgency, room) in bids {
-                        if budget == 0 {
-                            break;
-                        }
-                        let depth = spec.slack_depth(urgency).min(budget).min(room);
-                        depths[i] = depth;
-                        budget -= depth;
-                    }
-                }
-            }
-            let mut plan: Vec<Option<Verify>> = Vec::with_capacity(self.active.len());
-            let mut growth = 0usize;
-            for (i, a) in self.active.iter_mut().enumerate() {
-                if !a.is_decoding() {
-                    plan.push(None);
-                    continue;
-                }
-                let job = &mut a.job;
-                let remaining = job.request.output_tokens - job.generated;
-                let rate = job.request.accept_rate.unwrap_or(spec.default_acceptance);
-                let verify = job.draft.verify(depths[i], remaining, rate);
-                growth += verify.committed;
-                plan.push(Some(verify));
-            }
+            let mut tally = self.speculation();
             #[cfg(feature = "profile")]
             self.profile
                 .record(crate::profile::Stage::Speculation, &mut profile_mark);
-
-            // KV pressure: this step grows every decoding context by its
-            // committed run. Evict cold cached prefix blocks first; only
-            // then preempt youngest-first — never the oldest, so the
-            // engine always drains — until the growth fits the budget.
-            loop {
-                let over = (self.kv_in_use + growth).saturating_sub(self.kv_budget_tokens);
-                if over == 0 {
-                    break;
-                }
-                if let Some(cache) = &mut self.cache {
-                    let freed = cache.evict(over);
-                    self.kv_in_use -= freed;
-                    if freed >= over {
-                        break;
-                    }
-                }
-                if self.active.len() <= 1 {
-                    break;
-                }
-                let was_decoding = self.preempt_youngest();
-                // ador-lint: allow(panic) — invariant: plan has one entry per active job by construction
-                let victim = plan.pop().expect("plan is aligned with active");
-                debug_assert_eq!(was_decoding, victim.is_some());
-                if let Some(v) = victim {
-                    decoders -= 1;
-                    growth -= v.committed;
-                }
-            }
-
-            // Prefill schedule: continue in-flight prefills oldest-first,
-            // then admit from the queue head, sharing one `prefill_chunk`
-            // token budget. A chunk that completes a pass also reserves the
-            // +1 KV token of the first token it emits.
-            let prefill_allowed = match self.cfg.policy {
-                SchedulerPolicy::Fused => true,
-                SchedulerPolicy::DecodePrioritized => decoders == 0 || !self.prev_step_prefilled,
-            };
-            let mut chunk_budget = if prefill_allowed {
-                self.cfg.prefill_chunk
-            } else {
-                0
-            };
-            // Headroom for fresh KV growth: free budget plus whatever
-            // eviction could reclaim. Growth granted against the
-            // evictable share is collected lazily by `charge_kv`.
-            let evictable = self.cache.as_ref().map_or(0, PrefixCache::evictable_tokens);
-            let mut kv_headroom =
-                (self.kv_budget_tokens + evictable).saturating_sub(self.kv_in_use + growth);
-            let mut chunks: Vec<(usize, usize)> = Vec::new();
-            for (i, a) in self.active.iter().enumerate() {
-                if chunk_budget == 0 {
-                    break;
-                }
-                if a.is_decoding() {
-                    continue;
-                }
-                let remaining = a.prefill_target - a.prefilled;
-                let take = chunk_take(remaining, chunk_budget, kv_headroom);
-                if take == 0 {
-                    break;
-                }
-                chunk_budget -= take;
-                kv_headroom -= take + usize::from(take == remaining);
-                chunks.push((i, take));
-            }
-            while chunk_budget > 0 && self.active.len() < self.cfg.max_batch {
-                let Some(job) = self.waiting.front() else {
-                    break;
-                };
-                // Imported context (a disaggregated KV handoff): the
-                // transferred tokens' KV is allocated outright — no prefill
-                // compute, no prefix-cache interaction — leaving at least
-                // the final prompt token to recompute. Preemption dropped
-                // any imported KV with the rest of the context, so a
-                // resumed job recomputes everything.
-                let imported = if job.preempted {
-                    0
-                } else {
-                    job.request
-                        .imported_context
-                        .min(job.request.input_tokens - 1)
-                };
-                if imported > kv_headroom {
-                    break;
-                }
-                // Match the prompt against the prefix cache before sizing
-                // the chunk: matched blocks are skipped entirely (at least
-                // one prompt token is always recomputed — its logits emit
-                // the first output token). Acquiring pins the matched
-                // blocks (they stop being evictable), which consumes the
-                // same headroom fresh growth does.
-                let (cached, cache_node) = match (&mut self.cache, job.request.prefix_group) {
-                    (Some(cache), Some(group)) if imported == 0 => {
-                        let before = cache.evictable_tokens();
-                        let (cached, node) = cache.acquire(group, job.request.input_tokens - 1);
-                        let pinned = before - cache.evictable_tokens();
-                        if pinned > kv_headroom {
-                            cache.release(node);
-                            break;
-                        }
-                        kv_headroom -= pinned;
-                        (cached, node)
-                    }
-                    _ => (0, PrefixCache::ROOT),
-                };
-                let remaining = job.prefill_target() - cached - imported;
-                let take = chunk_take(remaining, chunk_budget, kv_headroom - imported);
-                if take == 0 {
-                    if let Some(cache) = &mut self.cache {
-                        cache.release(cache_node);
-                    }
-                    break;
-                }
-                // ador-lint: allow(panic) — invariant: the admission loop peeked front() above
-                let job = self.waiting.pop_front().expect("peeked");
-                if let Some(cache) = &mut self.cache {
-                    if imported == 0 && job.request.prefix_group.is_some() {
-                        let shareable = ((job.request.input_tokens - 1) / PREFIX_BLOCK_TOKENS)
-                            * PREFIX_BLOCK_TOKENS;
-                        cache.record_lookup(cached, shareable - cached);
-                    }
-                }
-                chunk_budget -= take;
-                kv_headroom -= imported + take + usize::from(take == remaining);
-                // Cached and imported tokens never prefill, so they leave
-                // the backlog the moment the admission decision skips them;
-                // imported KV becomes resident right here.
-                self.backlog -= cached + imported;
-                self.charge_kv(imported);
-                let kind = if job.preempted {
-                    EventKind::Resume
-                } else {
-                    // The request-alone prefill lower bound for the
-                    // remaining prompt: what attribution measures the
-                    // admission-to-first-commit span against. Priced
-                    // only when tracing is on, so the untraced path
-                    // stays bit-identical.
-                    let ideal_us = if self.sink.is_some() {
-                        let alone = self.prefill_time(1, remaining)?;
-                        conv::u32_from_usize(conv::usize_from_f64(alone.as_micros().round()))
-                    } else {
-                        0
-                    };
-                    EventKind::Admit {
-                        cached_tokens: conv::u32_from_usize(cached),
-                        ideal_us,
-                    }
-                };
-                Self::emit(&mut self.sink, self.now, job.request.id, kind);
-                chunks.push((self.active.len(), take));
-                self.active
-                    .push(Active::admit(job, cached, cache_node, imported));
-            }
+            let stalled = self.admission(&mut tally)?;
             #[cfg(feature = "profile")]
             self.profile
                 .record(crate::profile::Stage::Admission, &mut profile_mark);
-
-            // All actives mid-prefill with zero headroom and nobody
-            // decoding: evict the youngest so the oldest can proceed.
-            if decoders == 0 && chunks.is_empty() && self.active.len() > 1 {
-                self.preempt_youngest();
-                #[cfg(feature = "profile")]
-                self.profile
-                    .record(crate::profile::Stage::Admission, &mut profile_mark);
+            if stalled {
                 continue;
             }
-
-            // Timing: one fused engine iteration. The verify pass prices
-            // `decoders + drafted` token positions through the decode
-            // model with the per-sequence context scaled down so the
-            // resident KV total is unchanged (draft tokens attend to the
-            // *same* contexts, they do not bring their own). Token-level
-            // parallelism rides the same roofline as batch parallelism:
-            // verification is nearly free while the step is weight-bound
-            // and costs real compute once it is not. On top of that,
-            // drafting is priced per drafted token — `draft_time_ratio`
-            // of a target token's step share, i.e. mean depth × base —
-            // the batched-drafter amortization, not a per-step charge in
-            // the deepest request's depth.
-            let prefill_tokens: usize = chunks.iter().map(|&(_, t)| t).sum();
-            let drafted_total: usize = plan.iter().flatten().map(|v| v.drafted).sum();
-            let mut step_time = Seconds::ZERO;
-            if prefill_tokens > 0 {
-                let mean_chunk = (prefill_tokens / chunks.len()).max(1);
-                step_time += self.prefill_time(chunks.len(), mean_chunk)?;
-            }
-            if decoders > 0 {
-                let ctx_sum: usize = self
-                    .active
-                    .iter()
-                    .filter(|a| a.is_decoding())
-                    .map(Active::context)
-                    .sum();
-                let ctx = ctx_sum.checked_div(decoders).map_or(1, |c| c.max(1));
-                if drafted_total == 0 {
-                    step_time += self.decode_time(decoders, ctx)?;
-                } else {
-                    let verify_tokens = decoders + drafted_total;
-                    let ctx_eq = (ctx_sum / verify_tokens).max(1);
-                    step_time += self.decode_time(verify_tokens, ctx_eq)?;
-                    let base = self.decode_time(decoders, ctx)?;
-                    let mean_depth =
-                        conv::f64_from_usize(drafted_total) / conv::f64_from_usize(decoders);
-                    step_time += base * (spec.draft_time_ratio * mean_depth);
-                }
-            }
-            self.now += step_time;
-            self.steps += 1;
-            self.prev_step_prefilled = prefill_tokens > 0;
+            let step_time = self.timing(&tally)?;
             #[cfg(feature = "profile")]
             self.profile
                 .record(crate::profile::Stage::Timing, &mut profile_mark);
-
-            // Apply prefill progress token-granularly; prompts whose pass
-            // completed publish their full-block prefix into the cache so
-            // later requests of the same group (and later session turns)
-            // can share it.
-            let mut received = vec![0usize; self.active.len()];
-            for &(i, take) in &chunks {
-                received[i] = take;
-                self.charge_kv(take);
-                self.prefilled_tokens += take;
-                self.backlog -= take;
-                let a = &mut self.active[i];
-                a.prefilled += take;
-                a.kv_held += take;
-                let id = a.job.request.id;
-                Self::emit(
-                    &mut self.sink,
-                    self.now,
-                    id,
-                    EventKind::PrefillChunk {
-                        tokens: conv::u32_from_usize(take),
-                    },
-                );
-            }
-            for &(i, _) in &chunks {
-                if self.active[i].is_decoding() {
-                    self.cache_publish(i);
-                }
-            }
-
-            // Token emission: every request that decoded this step commits
-            // its verified run (exactly one token with speculation off),
-            // plus every request whose prefill pass just completed emits
-            // its first — or, after preemption, next — token out of the
-            // fused step. This is also the decode-batch occupancy sample,
-            // taken after same-step admissions so fresh decoders are
-            // counted. All tokens of one commit share the step-end
-            // timestamp: the verify pass reveals them at once, so the
-            // first carries the whole inter-step gap and the rest are
-            // free — exactly how speculation buys mean TBT.
-            let per_token_events = self.cfg.telemetry.detail == EventDetail::PerToken;
-            let mut batch_now = 0usize;
-            let mut finished: Vec<usize> = Vec::new();
-            for (i, &got) in received.iter().enumerate() {
-                let verify = plan.get(i).copied().flatten();
-                let commit = match verify {
-                    Some(v) => v.committed,
-                    None => usize::from(got > 0 && self.active[i].is_decoding()),
-                };
-                if commit == 0 {
-                    continue;
-                }
-                batch_now += 1;
-                self.charge_kv(commit);
-                let a = &mut self.active[i];
-                a.kv_held += commit;
-                for _ in 0..commit {
-                    a.job.emit_token(self.now);
-                }
-                debug_assert!(
-                    a.job.generated <= a.job.request.output_tokens,
-                    "request {} committed past its stop boundary",
-                    a.job.request.id
-                );
-                self.generated_tokens += commit;
-                if let Some(v) = verify {
-                    self.drafted_tokens += v.drafted;
-                    self.accepted_tokens += v.accepted;
-                    self.rejected_tokens += v.rejected();
-                }
-                let id = a.job.request.id;
-                let done = a.job.done();
-                let (drafted, accepted) = verify.map_or((0, 0), |v| (v.drafted, v.accepted));
-                // Under Lifecycle detail only the phase-boundary commit
-                // (first tokens after admit/resume) and draft-carrying
-                // verify steps reach the sink — steady one-token decode
-                // steps are the event flood the overhead budget elides.
-                let boundary = !a.traced_commit;
-                a.traced_commit = true;
-                if per_token_events || boundary || drafted > 0 {
-                    Self::emit(
-                        &mut self.sink,
-                        self.now,
-                        id,
-                        EventKind::Commit {
-                            committed: conv::u32_from_usize(commit),
-                            drafted: conv::u32_from_usize(drafted),
-                            accepted: conv::u32_from_usize(accepted),
-                        },
-                    );
-                }
-                if done {
-                    finished.push(i);
-                }
-            }
-            let completed = finished.len();
-            for &i in finished.iter().rev() {
-                // Publish the finished context (prompt + response) into
-                // the cache — the follow-up turn of a session prompts with
-                // exactly this context — then drop the private remainder.
-                self.cache_publish(i);
-                let a = self.active.remove(i);
-                if let Some(cache) = &mut self.cache {
-                    cache.release(a.cache_node);
-                }
-                self.kv_in_use -= a.kv_held;
-                Self::emit(
-                    &mut self.sink,
-                    self.now,
-                    a.job.request.id,
-                    EventKind::Complete,
-                );
-                self.outcomes.push(finish(a.job, self.now));
-            }
-
-            self.batch_samples += conv::f64_from_usize(batch_now);
-            self.peak_batch = self.peak_batch.max(batch_now);
-            self.queue_samples += conv::f64_from_usize(self.waiting.len());
-            self.peak_queue = self.peak_queue.max(self.waiting.len());
-            self.peak_kv = self.peak_kv.max(self.kv_in_use);
-            self.sample_series();
-            debug_assert_eq!(
-                self.backlog,
-                self.backlog_oracle(),
-                "incremental token backlog drifted from the queue scan"
-            );
-            debug_assert_eq!(
-                self.kv_in_use,
-                self.active.iter().map(|a| a.kv_held).sum::<usize>()
-                    + self.prefix_resident_tokens(),
-                "KV ledger must equal private contexts plus resident cache blocks"
-            );
-            debug_assert!(
-                self.kv_in_use <= self.kv_budget_tokens,
-                "KV in use ({}) exceeded the budget ({})",
-                self.kv_in_use,
-                self.kv_budget_tokens
-            );
+            let completed = self.commit();
             #[cfg(feature = "profile")]
             {
                 self.profile
@@ -1061,18 +682,471 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// Arrivals stage: moves arrived requests into the admission queue
+    /// (preempted jobs were pushed to the front and resume first).
+    fn arrivals(&mut self) {
+        while self.pending.front().is_some_and(|r| r.arrival <= self.now) {
+            // ador-lint: allow(panic) — invariant: front() was Some on the line above
+            let request = self.pending.pop_front().expect("peeked");
+            Self::emit(
+                &mut self.sink,
+                request.arrival,
+                request.id,
+                EventKind::Enqueue,
+            );
+            self.waiting
+                .push_back(Job::new(request, self.cfg.speculation.seed));
+        }
+    }
+
+    /// Speculation stage: resets every admitted request's step state and
+    /// gives each decoder its verify plan — `accepted + 1` tokens to
+    /// commit this step. Planned before the KV-pressure check because
+    /// multi-token commits are this step's KV growth. With speculation
+    /// off every decoder commits exactly one token and no draft stream
+    /// is touched (a depth-0 verify would draw nothing anyway).
+    fn speculation(&mut self) -> StepTally {
+        const ONE_TOKEN: Verify = Verify {
+            drafted: 0,
+            accepted: 0,
+            committed: 1,
+        };
+        let mut tally = StepTally::default();
+        for a in &mut self.active {
+            a.take = 0;
+            a.plan = a.is_decoding().then_some(ONE_TOKEN);
+            tally.decoders += usize::from(a.plan.is_some());
+        }
+        tally.growth = tally.decoders;
+        let spec = self.cfg.speculation;
+        if !spec.speculates() {
+            return tally;
+        }
+        let mut plan = |a: &mut Active, depth: usize| {
+            let job = &mut a.job;
+            let remaining = job.request.output_tokens - job.generated;
+            let rate = job.request.accept_rate.unwrap_or(spec.default_acceptance);
+            let verify = job.draft.verify(depth, remaining, rate);
+            tally.growth += verify.committed - 1;
+            tally.drafted += verify.drafted;
+            a.plan = Some(verify);
+        };
+        match spec.policy {
+            SpeculationPolicy::Off => {}
+            SpeculationPolicy::Fixed(k) => {
+                // Naive fleet-wide speculation: every decoder drafts k
+                // tokens, whatever its SLO slack or the batch load.
+                let k = k.min(spec.max_depth);
+                for a in self.active.iter_mut().filter(|a| a.is_decoding()) {
+                    plan(a, k);
+                }
+            }
+            SpeculationPolicy::SloAdaptive => {
+                // SLO-customized speculation: latency-contracted decoders
+                // bid with their TBT urgency, and the per-step
+                // verify-token budget is spent most-urgent-first (ties
+                // toward the older request), so throughput tenants never
+                // pay latency tenants' verify overhead. Decoders without
+                // a winning bid keep their one-token plan.
+                let mut bids: Vec<(usize, f64, usize)> = self
+                    .active
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, a)| a.is_decoding())
+                    .filter_map(|(i, a)| {
+                        let urgency = spec.urgency(
+                            a.job.request.slo.and_then(|s| s.tbt_max),
+                            a.job.mean_tbt_so_far(),
+                        )?;
+                        let room = a.job.request.output_tokens - a.job.generated - 1;
+                        Some((i, urgency, room))
+                    })
+                    .collect();
+                bids.sort_by(|a, b| {
+                    b.1.partial_cmp(&a.1)
+                        // ador-lint: allow(panic) — invariant: urgency is a ratio of finite positive times
+                        .expect("urgency is never NaN")
+                        .then(a.0.cmp(&b.0))
+                });
+                let mut budget = spec.budget_tokens(self.cfg.max_batch);
+                for (i, urgency, room) in bids {
+                    if budget == 0 {
+                        break;
+                    }
+                    let depth = spec.slack_depth(urgency).min(budget).min(room);
+                    plan(&mut self.active[i], depth);
+                    budget -= depth;
+                }
+            }
+        }
+        tally
+    }
+
+    /// Admission stage: relieves KV pressure, schedules prefill chunks
+    /// and admits from the queue. Returns `true` when the step stalled —
+    /// every admitted request is mid-prefill with no headroom — after
+    /// preempting the youngest so the oldest can proceed on the retry.
+    fn admission(&mut self, tally: &mut StepTally) -> Result<bool, SimError> {
+        // KV pressure: this step grows every decoding context by its
+        // committed run. Evict cold cached prefix blocks first; only
+        // then preempt youngest-first — never the oldest, so the
+        // engine always drains — until the growth fits the budget. A
+        // victim takes its plan with it.
+        loop {
+            let over = (self.kv_in_use + tally.growth).saturating_sub(self.kv_budget_tokens);
+            if over == 0 {
+                break;
+            }
+            if let Some(cache) = &mut self.cache {
+                let freed = cache.evict(over);
+                self.kv_in_use -= freed;
+                if freed >= over {
+                    break;
+                }
+            }
+            if self.active.len() <= 1 {
+                break;
+            }
+            if let Some(v) = self.active.last().and_then(|a| a.plan) {
+                tally.decoders -= 1;
+                tally.growth -= v.committed;
+                tally.drafted -= v.drafted;
+            }
+            self.preempt_youngest();
+        }
+
+        // Prefill schedule: continue in-flight prefills oldest-first,
+        // then admit from the queue head, sharing one `prefill_chunk`
+        // token budget. A chunk that completes a pass also reserves the
+        // +1 KV token of the first token it emits.
+        let prefill_allowed = match self.cfg.policy {
+            SchedulerPolicy::Fused => true,
+            SchedulerPolicy::DecodePrioritized => tally.decoders == 0 || !self.prev_step_prefilled,
+        };
+        let mut chunk_budget = if prefill_allowed {
+            self.cfg.prefill_chunk
+        } else {
+            0
+        };
+        // Headroom for fresh KV growth: free budget plus whatever
+        // eviction could reclaim. Growth granted against the evictable
+        // share is collected lazily by `charge_kv`.
+        let evictable = self.cache.as_ref().map_or(0, PrefixCache::evictable_tokens);
+        let mut kv_headroom =
+            (self.kv_budget_tokens + evictable).saturating_sub(self.kv_in_use + tally.growth);
+        for a in &mut self.active {
+            if chunk_budget == 0 {
+                break;
+            }
+            if a.is_decoding() {
+                continue;
+            }
+            let remaining = a.prefill_target - a.prefilled;
+            let take = chunk_take(remaining, chunk_budget, kv_headroom);
+            if take == 0 {
+                break;
+            }
+            chunk_budget -= take;
+            kv_headroom -= take + usize::from(take == remaining);
+            a.take = take;
+            tally.add_chunk(take);
+        }
+        while chunk_budget > 0 && self.active.len() < self.cfg.max_batch {
+            let Some(job) = self.waiting.front() else {
+                break;
+            };
+            // Imported context (a disaggregated KV handoff): the
+            // transferred tokens' KV is allocated outright — no prefill
+            // compute, no prefix-cache interaction — leaving at least
+            // the final prompt token to recompute. Preemption dropped
+            // any imported KV with the rest of the context, so a
+            // resumed job recomputes everything.
+            let imported = if job.preempted {
+                0
+            } else {
+                job.request
+                    .imported_context
+                    .min(job.request.input_tokens - 1)
+            };
+            if imported > kv_headroom {
+                break;
+            }
+            // Match the prompt against the prefix cache before sizing
+            // the chunk: matched blocks are skipped entirely (at least
+            // one prompt token is always recomputed — its logits emit
+            // the first output token). Acquiring pins the matched
+            // blocks (they stop being evictable), which consumes the
+            // same headroom fresh growth does.
+            let (cached, cache_node) = match (&mut self.cache, job.request.prefix_group) {
+                (Some(cache), Some(group)) if imported == 0 => {
+                    let before = cache.evictable_tokens();
+                    let (cached, node) = cache.acquire(group, job.request.input_tokens - 1);
+                    let pinned = before - cache.evictable_tokens();
+                    if pinned > kv_headroom {
+                        cache.release(node);
+                        break;
+                    }
+                    kv_headroom -= pinned;
+                    (cached, node)
+                }
+                _ => (0, PrefixCache::ROOT),
+            };
+            let remaining = job.prefill_target() - cached - imported;
+            let take = chunk_take(remaining, chunk_budget, kv_headroom - imported);
+            if take == 0 {
+                if let Some(cache) = &mut self.cache {
+                    cache.release(cache_node);
+                }
+                break;
+            }
+            // ador-lint: allow(panic) — invariant: the admission loop peeked front() above
+            let job = self.waiting.pop_front().expect("peeked");
+            if let Some(cache) = &mut self.cache {
+                if imported == 0 && job.request.prefix_group.is_some() {
+                    let shareable = ((job.request.input_tokens - 1) / PREFIX_BLOCK_TOKENS)
+                        * PREFIX_BLOCK_TOKENS;
+                    cache.record_lookup(cached, shareable - cached);
+                }
+            }
+            chunk_budget -= take;
+            kv_headroom -= imported + take + usize::from(take == remaining);
+            // Cached and imported tokens never prefill, so they leave
+            // the backlog the moment the admission decision skips them;
+            // imported KV becomes resident right here.
+            self.backlog -= cached + imported;
+            self.charge_kv(imported);
+            let kind = if job.preempted {
+                EventKind::Resume
+            } else {
+                // The request-alone prefill lower bound for the
+                // remaining prompt: what attribution measures the
+                // admission-to-first-commit span against. Priced only
+                // when tracing is on, so the untraced path stays
+                // bit-identical.
+                let ideal_us = if self.sink.is_some() {
+                    let alone = self.prefill_time(1, remaining)?;
+                    conv::u32_from_usize(conv::usize_from_f64(alone.as_micros().round()))
+                } else {
+                    0
+                };
+                EventKind::Admit {
+                    cached_tokens: conv::u32_from_usize(cached),
+                    ideal_us,
+                }
+            };
+            Self::emit(&mut self.sink, self.now, job.request.id, kind);
+            self.active
+                .push(Active::admit(job, cached, cache_node, imported, take));
+            tally.add_chunk(take);
+        }
+
+        // All actives mid-prefill with zero headroom and nobody
+        // decoding: evict the youngest so the oldest can proceed.
+        let stalled = tally.decoders == 0 && tally.chunks == 0 && self.active.len() > 1;
+        if stalled {
+            self.preempt_youngest();
+        }
+        Ok(stalled)
+    }
+
+    /// Timing stage: prices one fused engine iteration and advances the
+    /// clock by it. The verify pass prices `decoders + drafted` token
+    /// positions through the decode model with the per-sequence context
+    /// scaled down so the resident KV total is unchanged (draft tokens
+    /// attend to the *same* contexts, they do not bring their own).
+    /// Token-level parallelism rides the same roofline as batch
+    /// parallelism: verification is nearly free while the step is
+    /// weight-bound and costs real compute once it is not. On top of
+    /// that, drafting is priced per drafted token — `draft_time_ratio`
+    /// of a target token's step share, i.e. mean depth × base — the
+    /// batched-drafter amortization, not a per-step charge in the
+    /// deepest request's depth.
+    fn timing(&mut self, tally: &StepTally) -> Result<Seconds, SimError> {
+        let mut step_time = Seconds::ZERO;
+        if tally.prefill_tokens > 0 {
+            let mean_chunk = (tally.prefill_tokens / tally.chunks).max(1);
+            step_time += self.prefill_time(tally.chunks, mean_chunk)?;
+        }
+        let decoders = tally.decoders;
+        if decoders > 0 {
+            let ctx_sum: usize = self
+                .active
+                .iter()
+                .filter(|a| a.is_decoding())
+                .map(Active::context)
+                .sum();
+            let ctx = ctx_sum.checked_div(decoders).map_or(1, |c| c.max(1));
+            if tally.drafted == 0 {
+                step_time += self.decode_time(decoders, ctx)?;
+            } else {
+                let verify_tokens = decoders + tally.drafted;
+                let ctx_eq = (ctx_sum / verify_tokens).max(1);
+                step_time += self.decode_time(verify_tokens, ctx_eq)?;
+                let base = self.decode_time(decoders, ctx)?;
+                let mean_depth =
+                    conv::f64_from_usize(tally.drafted) / conv::f64_from_usize(decoders);
+                step_time += base * (self.cfg.speculation.draft_time_ratio * mean_depth);
+            }
+        }
+        self.now += step_time;
+        self.steps += 1;
+        self.prev_step_prefilled = tally.prefill_tokens > 0;
+        Ok(step_time)
+    }
+
+    /// Commit stage: applies prefill progress, commits every planned
+    /// token run, retires completed requests and samples the step.
+    /// Returns how many requests completed.
+    fn commit(&mut self) -> usize {
+        // Apply prefill progress token-granularly; prompts whose pass
+        // completed publish their full-block prefix into the cache so
+        // later requests of the same group (and later session turns)
+        // can share it.
+        for i in 0..self.active.len() {
+            let take = self.active[i].take;
+            if take == 0 {
+                continue;
+            }
+            self.charge_kv(take);
+            self.prefilled_tokens += take;
+            self.backlog -= take;
+            let a = &mut self.active[i];
+            a.prefilled += take;
+            a.kv_held += take;
+            let id = a.job.request.id;
+            Self::emit(
+                &mut self.sink,
+                self.now,
+                id,
+                EventKind::PrefillChunk {
+                    tokens: conv::u32_from_usize(take),
+                },
+            );
+        }
+        for i in 0..self.active.len() {
+            if self.active[i].take > 0 && self.active[i].is_decoding() {
+                self.cache_publish(i);
+            }
+        }
+
+        // Token emission: every request that decoded this step commits
+        // its verified run (exactly one token with speculation off),
+        // plus every request whose prefill pass just completed emits
+        // its first — or, after preemption, next — token out of the
+        // fused step. This is also the decode-batch occupancy sample,
+        // taken after same-step admissions so fresh decoders are
+        // counted. All tokens of one commit share the step-end
+        // timestamp: the verify pass reveals them at once, so the
+        // first carries the whole inter-step gap and the rest are
+        // free — exactly how speculation buys mean TBT.
+        let per_token_events = self.cfg.telemetry.detail == EventDetail::PerToken;
+        let mut batch_now = 0usize;
+        for i in 0..self.active.len() {
+            let a = &self.active[i];
+            let commit = match a.plan {
+                Some(v) => v.committed,
+                None => usize::from(a.take > 0 && a.is_decoding()),
+            };
+            if commit == 0 {
+                continue;
+            }
+            batch_now += 1;
+            self.charge_kv(commit);
+            let a = &mut self.active[i];
+            a.kv_held += commit;
+            for _ in 0..commit {
+                a.job.emit_token(self.now);
+            }
+            debug_assert!(
+                a.job.generated <= a.job.request.output_tokens,
+                "request {} committed past its stop boundary",
+                a.job.request.id
+            );
+            self.generated_tokens += commit;
+            let (drafted, accepted) = a.plan.map_or((0, 0), |v| (v.drafted, v.accepted));
+            self.drafted_tokens += drafted;
+            self.accepted_tokens += accepted;
+            self.rejected_tokens += drafted - accepted;
+            // Under Lifecycle detail only the phase-boundary commit
+            // (first tokens after admit/resume) and draft-carrying
+            // verify steps reach the sink — steady one-token decode
+            // steps are the event flood the overhead budget elides.
+            let boundary = !a.traced_commit;
+            a.traced_commit = true;
+            if per_token_events || boundary || drafted > 0 {
+                Self::emit(
+                    &mut self.sink,
+                    self.now,
+                    a.job.request.id,
+                    EventKind::Commit {
+                        committed: conv::u32_from_usize(commit),
+                        drafted: conv::u32_from_usize(drafted),
+                        accepted: conv::u32_from_usize(accepted),
+                    },
+                );
+            }
+        }
+
+        // Retire completions youngest-first. Publish the finished
+        // context (prompt + response) into the cache — the follow-up
+        // turn of a session prompts with exactly this context — then
+        // drop the private remainder.
+        let mut completed = 0;
+        for i in (0..self.active.len()).rev() {
+            if !self.active[i].job.done() {
+                continue;
+            }
+            completed += 1;
+            self.cache_publish(i);
+            let a = self.active.remove(i);
+            if let Some(cache) = &mut self.cache {
+                cache.release(a.cache_node);
+            }
+            self.kv_in_use -= a.kv_held;
+            Self::emit(
+                &mut self.sink,
+                self.now,
+                a.job.request.id,
+                EventKind::Complete,
+            );
+            self.outcomes.push(finish(a.job, self.now));
+        }
+
+        self.batch_samples += conv::f64_from_usize(batch_now);
+        self.peak_batch = self.peak_batch.max(batch_now);
+        self.queue_samples += conv::f64_from_usize(self.waiting.len());
+        self.peak_queue = self.peak_queue.max(self.waiting.len());
+        self.peak_kv = self.peak_kv.max(self.kv_in_use);
+        self.sample_series();
+        debug_assert_eq!(
+            self.backlog,
+            self.backlog_oracle(),
+            "incremental token backlog drifted from the queue scan"
+        );
+        debug_assert_eq!(
+            self.kv_in_use,
+            self.active.iter().map(|a| a.kv_held).sum::<usize>() + self.prefix_resident_tokens(),
+            "KV ledger must equal private contexts plus resident cache blocks"
+        );
+        debug_assert!(
+            self.kv_in_use <= self.kv_budget_tokens,
+            "KV in use ({}) exceeded the budget ({})",
+            self.kv_in_use,
+            self.kv_budget_tokens
+        );
+        completed
+    }
+
     /// Pauses the youngest admitted request: releases its private KV back
     /// to the pool (its cached prefix blocks merely lose a reference and
     /// stay resident — resuming will likely re-match them, making the
     /// recompute cheap) and returns its job to the head of the admission
-    /// queue for resume. Returns whether the victim was decoding (so
-    /// callers can adjust their decoder count). The caller guarantees
-    /// `active` is non-empty and never preempts down to zero, preserving
-    /// forward progress for the oldest.
-    fn preempt_youngest(&mut self) -> bool {
+    /// queue for resume. The caller guarantees `active` is non-empty and
+    /// never preempts down to zero, preserving forward progress for the
+    /// oldest.
+    fn preempt_youngest(&mut self) {
         // ador-lint: allow(panic) — invariant: documented caller contract (active is non-empty)
         let mut victim = self.active.pop().expect("caller checks non-empty");
-        let was_decoding = victim.is_decoding();
         self.kv_in_use -= victim.kv_held;
         if let Some(cache) = &mut self.cache {
             cache.release(victim.cache_node);
@@ -1091,7 +1165,6 @@ impl<'a> Engine<'a> {
             EventKind::Preempt,
         );
         self.waiting.push_front(victim.job);
-        was_decoding
     }
 
     /// Feeds the windowed time-series collector one post-iteration sample
@@ -1592,6 +1665,16 @@ mod tests {
             eng.submit(bad).unwrap_err(),
             SimError::InvalidRequest { id: 3 }
         );
+        // Acceptance rates are probabilities: NaN and out-of-range values
+        // are rejected up front, whether or not the engine speculates.
+        for (id, rate) in [(5, f64::NAN), (6, -0.1), (7, 1.5)] {
+            let mut bad = Request::new(id, Seconds::ZERO, 10, 10);
+            bad.accept_rate = Some(rate);
+            assert_eq!(
+                eng.submit(bad).unwrap_err(),
+                SimError::InvalidRequest { id }
+            );
+        }
         let budget = eng.kv_budget_tokens();
         let big = Request::new(4, Seconds::ZERO, budget, budget);
         assert!(matches!(

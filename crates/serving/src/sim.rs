@@ -190,7 +190,8 @@ pub enum SimError {
         /// Upper bracket end (req/s), or link latency (s).
         hi: f64,
     },
-    /// A replayed request has a zero-length prompt or response.
+    /// A replayed request has a zero-length prompt or response, or an
+    /// acceptance rate that is not a probability.
     InvalidRequest {
         /// Id of the offending request.
         id: u64,
@@ -223,7 +224,11 @@ impl fmt::Display for SimError {
                 )
             }
             SimError::InvalidRequest { id } => {
-                write!(f, "request {id} has a zero-length prompt or response")
+                write!(
+                    f,
+                    "request {id} has a zero-length prompt or response, \
+                     or an acceptance rate outside [0, 1]"
+                )
             }
             SimError::TooFewReplicas { replicas, min } => {
                 write!(
@@ -336,7 +341,8 @@ impl<'a> ServingSim<'a> {
     ///
     /// Returns [`SimError::EmptyConfig`] for an empty list,
     /// [`SimError::InvalidRequest`] for a zero-length prompt or response
-    /// (possible on `Request` values built without [`Request::new`]),
+    /// or an acceptance rate outside `[0, 1]` (possible on `Request`
+    /// values built without [`Request::new`] and its builders),
     /// [`SimError::NoKvHeadroom`] if any single request's full context can
     /// never fit the KV budget, and propagates [`SimError::Perf`].
     pub fn run_requests(

@@ -11,7 +11,7 @@ use ador::model::presets;
 use ador::perf::Deployment;
 use ador::serving::{
     QosReport, Request, RequestGenerator, ServingSim, SimConfig, Slo, SpeculationConfig,
-    SpeculationPolicy, TraceProfile,
+    SpeculationPolicy, StepEvent, TraceProfile,
 };
 use ador::units::Seconds;
 use proptest::prelude::*;
@@ -185,6 +185,49 @@ fn speculation_off_is_bit_identical_to_the_baseline_engine() {
         assert_eq!(plain.mean_tbt, tagged.mean_tbt);
         assert_eq!(plain.max_tbt, tagged.max_tbt);
         assert_eq!(plain.e2e, tagged.e2e);
+    }
+}
+
+/// Every non-speculating configuration runs the same engine: `Off`,
+/// `Off` under another seed with a zero depth ceiling, and `Fixed(0)`
+/// (the one speculating policy that drafts nothing) give identical
+/// outcomes and counters on requests that carry acceptance tags, and
+/// never draft.
+#[test]
+fn non_speculating_configs_are_equivalent() {
+    let arch = ador::baselines::ador_table3();
+    let model = presets::llama3_8b();
+    let requests: Vec<Request> = RequestGenerator::new(6.0, TraceProfile::ultrachat_like(), 13)
+        .take(60)
+        .into_iter()
+        .map(|r| {
+            let rate = [0.2, 0.6, 0.95][(r.id % 3) as usize];
+            r.with_slo(Slo::strict()).with_accept_rate(rate)
+        })
+        .collect();
+    let run = |speculation: SpeculationConfig| {
+        let cfg = SimConfig::new(6.0, 16).with_speculation(speculation);
+        let mut engine = ServingSim::new(&arch, &model, Deployment::single_device(), cfg)
+            .unwrap()
+            .engine();
+        for r in requests.clone() {
+            engine.submit(r).unwrap();
+        }
+        while engine.step().unwrap() != StepEvent::Idle {}
+        (engine.outcomes().to_vec(), engine.counters())
+    };
+    let off = run(SpeculationConfig::off());
+    assert_eq!(off.0.len(), 60);
+    assert_eq!(off.1.drafted_tokens, 0);
+    let variants = [
+        SpeculationConfig::off().with_seed(77).with_max_depth(0),
+        SpeculationConfig::new(SpeculationPolicy::Fixed(0)).with_seed(5),
+    ];
+    for speculation in variants {
+        assert!(!speculation.speculates());
+        let other = run(speculation);
+        assert_eq!(other.0, off.0, "{speculation:?}: outcomes differ from Off");
+        assert_eq!(other.1, off.1, "{speculation:?}: counters differ from Off");
     }
 }
 
