@@ -1,23 +1,32 @@
-//! Golden digests of the engine step loop: four small pinned scenarios,
-//! each reduced to one FNV-1a 64 hash over the bit patterns of every
-//! completed request's outcome and every replica's engine counters.
+//! Golden digests of the engine step loop and the fleet driver: small
+//! pinned scenarios, each reduced to FNV-1a 64 hashes over the bit
+//! patterns of every completed request's outcome and every replica's
+//! engine counters, and over the whole fleet report (merged QoS,
+//! tenants, routing trace, imbalance, KV-transfer counters).
 //!
-//! The digests were computed before the step loop was restructured, so a
-//! refactor of `Engine::step` is checked against the old code rather
-//! than against itself. Any change in scheduling order, floating-point
-//! operation order or speculation draws moves a digest.
+//! Two traced scenarios, one aggregated and one disaggregated, also pin
+//! the telemetry the fleet drains: lifecycle and transfer events, time
+//! series, per-tenant goodput and the attribution ledgers.
+//!
+//! The step-loop digests were computed before the step loop was
+//! restructured, and the report digests before the fleet driver was, so
+//! a refactor of either is checked against the old code rather than
+//! against itself. Any change in scheduling order, routing,
+//! floating-point operation order or speculation draws moves a digest.
 
 use ador::cluster::scenarios::{
-    disagg_cluster, disagg_fleet, disagg_mix, session_fleet, session_workload, spec_fleet,
-    spec_mix, DISAGG_RATE, DISAGG_SEED, SESSION_RATE, SESSION_SEED, SPEC_RATE, SPEC_SEED,
+    disagg_cluster, disagg_engine, disagg_fleet, disagg_mix, session_fleet, session_workload,
+    spec_fleet, spec_mix, DISAGG_RATE, DISAGG_SEED, SESSION_RATE, SESSION_SEED, SPEC_RATE,
+    SPEC_SEED,
 };
-use ador::cluster::{ClusterSim, FleetReport, RouterPolicy, TenantMix};
+use ador::cluster::{ClusterSim, FleetReport, FleetSpec, ReplicaSpec, RouterPolicy, TenantMix};
 use ador::model::presets;
 use ador::perf::Deployment;
 use ador::serving::{
     EngineCounters, QosReport, Request, RequestOutcome, ServingSim, SimConfig, SpeculationPolicy,
     StepEvent,
 };
+use ador::telemetry::TelemetryConfig;
 use ador::units::Seconds;
 
 /// FNV-1a 64 over a stream of 64-bit words (little-endian bytes).
@@ -28,11 +37,21 @@ impl Fnv {
         Self(0xcbf2_9ce4_8422_2325)
     }
 
+    fn byte(&mut self, b: u8) {
+        self.0 ^= u64::from(b);
+        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+
     fn word(&mut self, w: u64) {
-        for byte in w.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        w.to_le_bytes().into_iter().for_each(|b| self.byte(b));
+    }
+
+    /// Folds in the `Debug` rendering of `x`. Float fields render as the
+    /// shortest string that parses back to the same bits, so this is as
+    /// exact as hashing the bit patterns, and it covers nested report
+    /// types (histograms, ledgers, series) without spelling out fields.
+    fn debug(&mut self, x: &impl std::fmt::Debug) {
+        format!("{x:?}").bytes().for_each(|b| self.byte(b));
     }
 
     fn f64(&mut self, x: f64) {
@@ -127,10 +146,57 @@ fn fleet_digest(
     (h.0, report)
 }
 
+/// Digests the fleet-level report: the merged QoS, the per-tenant
+/// breakdowns, the routing trace, the imbalance and the KV-transfer
+/// counters.
+fn report_digest(report: &FleetReport) -> u64 {
+    let mut h = Fnv::new();
+    h.usize(report.submitted);
+    h.usize(report.completed);
+    h.usize(report.rejected);
+    h.debug(&report.fleet);
+    h.debug(&report.tenants);
+    h.usize(report.assignments.len());
+    for &(id, replica) in &report.assignments {
+        h.word(id);
+        h.usize(replica.unwrap_or(usize::MAX));
+    }
+    h.f64(report.imbalance);
+    h.usize(report.kv_transfers);
+    h.word(report.kv_transferred_tokens);
+    h.0
+}
+
+/// Digests what a traced run drains besides the report: every replica's
+/// lifecycle events, the transfer lane, the time series with their pool
+/// roles, the per-tenant goodput series and the attribution ledgers.
+fn telemetry_digest(report: &FleetReport) -> u64 {
+    let telemetry = report.telemetry.as_ref().expect("a traced run");
+    let attribution = report.attribution.as_ref().expect("an attributed run");
+    assert!(telemetry.events.iter().any(|e| !e.is_empty()));
+    assert!(!telemetry.tenant_goodput.is_empty());
+    let mut h = Fnv::new();
+    h.debug(&telemetry.events);
+    h.debug(&telemetry.transfer_events);
+    h.debug(&telemetry.series);
+    h.debug(&telemetry.series_roles);
+    h.debug(&telemetry.tenant_goodput);
+    h.secs(telemetry.goodput_interval);
+    h.debug(attribution);
+    h.0
+}
+
+/// Events, 50 ms series, per-tenant goodput and attribution all on.
+fn traced() -> TelemetryConfig {
+    TelemetryConfig::trace()
+        .with_series(Seconds::from_millis(50.0))
+        .with_attribution()
+}
+
 fn assert_digest(name: &str, got: u64, want: u64) {
     assert_eq!(
         got, want,
-        "{name}: step-loop digest {got:#018x} moved from the pinned {want:#018x}"
+        "{name}: digest {got:#018x} moved from the pinned {want:#018x}"
     );
 }
 
@@ -142,10 +208,15 @@ fn session_fleet_with_prefix_caching_digest_is_pinned() {
     let sim = ClusterSim::new(&arch, &model, Deployment::single_device(), cfg).unwrap();
     let (got, report) = fleet_digest(sim, &session_workload(SESSION_RATE), 240, SESSION_SEED);
     assert!(
-        report.fleet.unwrap().prefix_hit_tokens > 0,
+        report.fleet.as_ref().unwrap().prefix_hit_tokens > 0,
         "the cache must hit"
     );
     assert_digest("session fleet", got, 0x93cb_efca_2f71_f8df);
+    assert_digest(
+        "session fleet report",
+        report_digest(&report),
+        0x92d9_941b_ca25_2823,
+    );
 }
 
 #[test]
@@ -156,10 +227,15 @@ fn slo_adaptive_spec_fleet_digest_is_pinned() {
     let sim = ClusterSim::new(&arch, &model, Deployment::single_device(), cfg).unwrap();
     let (got, report) = fleet_digest(sim, &spec_mix(SPEC_RATE), 200, SPEC_SEED);
     assert!(
-        report.fleet.unwrap().drafted_tokens > 0,
+        report.fleet.as_ref().unwrap().drafted_tokens > 0,
         "the fleet must draft"
     );
     assert_digest("slo-adaptive spec fleet", got, 0x331c_61d7_0ab3_d9d8);
+    assert_digest(
+        "slo-adaptive spec fleet report",
+        report_digest(&report),
+        0x8f36_face_8583_0d0e,
+    );
 }
 
 #[test]
@@ -181,6 +257,73 @@ fn disaggregated_two_plus_two_fleet_digest_is_pinned() {
     let (got, report) = fleet_digest(sim, &disagg_mix(DISAGG_RATE), 160, DISAGG_SEED);
     assert!(report.kv_transfers > 0, "the pools must hand off KV");
     assert_digest("disaggregated 2+2 fleet", got, 0xb886_eda9_f5b8_df41);
+    assert_digest(
+        "disaggregated 2+2 fleet report",
+        report_digest(&report),
+        0xcca8_61cc_594f_e039,
+    );
+}
+
+#[test]
+fn traced_capped_session_fleet_digest_is_pinned() {
+    // Aggregated, with admission control tight enough to shed: pins the
+    // shed stamps in the chosen replicas' traces too.
+    let arch = ador::baselines::ador_table3();
+    let model = presets::llama3_8b();
+    let cfg = session_fleet(4, RouterPolicy::CacheAffinity)
+        .with_queue_cap(2)
+        .with_telemetry(traced());
+    let sim = ClusterSim::new(&arch, &model, Deployment::single_device(), cfg).unwrap();
+    let (got, report) = fleet_digest(sim, &session_workload(SESSION_RATE), 240, SESSION_SEED);
+    assert!(report.rejected > 0, "the queue cap must shed");
+    assert_digest("traced session fleet", got, 0xd179_daf3_f98f_8b30);
+    assert_digest(
+        "traced session fleet report",
+        report_digest(&report),
+        0x2868_8b34_8443_b444,
+    );
+    assert_digest(
+        "traced session fleet telemetry",
+        telemetry_digest(&report),
+        0xbc38_df98_a6b4_2f99,
+    );
+}
+
+#[test]
+fn traced_disaggregated_fleet_digest_is_pinned() {
+    let model = presets::llama3_8b();
+    // A heterogeneous fleet's replicas trace under their own engine
+    // configs, so telemetry goes on the replica specs as well.
+    let engine = disagg_engine().with_telemetry(traced());
+    let fleet = FleetSpec::prefill_decode(
+        &ReplicaSpec::new(ador::baselines::prefill_optimized(), engine),
+        2,
+        &ReplicaSpec::new(ador::baselines::decode_optimized(), engine),
+        2,
+    );
+    let cfg = disagg_cluster(true).with_telemetry(traced());
+    let sim = ClusterSim::new_fleet(&fleet, &model, Deployment::single_device(), cfg).unwrap();
+    let (got, report) = fleet_digest(sim, &disagg_mix(DISAGG_RATE), 160, DISAGG_SEED);
+    assert!(
+        !report
+            .telemetry
+            .as_ref()
+            .unwrap()
+            .transfer_events
+            .is_empty(),
+        "the transfer lane must be traced"
+    );
+    assert_digest("traced disaggregated fleet", got, 0xb886_eda9_f5b8_df41);
+    assert_digest(
+        "traced disaggregated fleet report",
+        report_digest(&report),
+        0xcca8_61cc_594f_e039,
+    );
+    assert_digest(
+        "traced disaggregated fleet telemetry",
+        telemetry_digest(&report),
+        0xa57f_7c2a_6429_fff8,
+    );
 }
 
 #[test]
