@@ -1,11 +1,13 @@
-//! Fleet-driver wall-clock baseline: the discrete-event core vs the
-//! lockstep oracle over a replicas × requests grid.
+//! Fleet-driver wall-clock baseline: the two drive modes of the round
+//! loop — sweep only the replicas the ready heap holds (event-driven)
+//! vs sweep every replica (the lockstep oracle) — over a replicas ×
+//! requests grid.
 //!
-//! Both drivers produce identical per-request outcomes (pinned by
+//! Both modes produce identical per-request outcomes (pinned by
 //! `tests/cluster_serving.rs`; re-verified here on every measured run),
 //! so the only thing this bench measures is driver overhead: lockstep
-//! sweeps all N replicas on every arrival, the event core touches only
-//! the replicas that actually have work. The grid scales the offered
+//! sweeps all N replicas every round, the event mode touches only the
+//! replicas that actually have work. The grid scales the offered
 //! load with the fleet ([`scenarios::scale_mix`]) so each cell isolates
 //! driver cost on a healthy fleet rather than queueing collapse.
 //!
@@ -23,12 +25,12 @@ use ador_core::cluster::{ClusterSim, DriveMode, FleetReport};
 use ador_core::model::presets;
 use ador_core::perf::Deployment;
 
-/// The full grid: small fleets where the event core must merely not lose,
+/// The full grid: small fleets where the event mode must merely not lose,
 /// up to the 128-replica / 100k-request cell where lockstep's
-/// O(replicas)-per-arrival sweep dominates.
+/// O(replicas)-per-round sweep dominates.
 const FULL_GRID: [(usize, usize); 4] = [(4, 4_000), (16, 16_000), (64, 64_000), (128, 100_000)];
 
-/// The `--quick` smoke grid: exercises the same code path (both drivers,
+/// The `--quick` smoke grid: exercises the same code path (both modes,
 /// equivalence check, JSON write) in seconds.
 const QUICK_GRID: [(usize, usize); 2] = [(2, 300), (4, 600)];
 

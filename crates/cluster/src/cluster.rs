@@ -1,17 +1,22 @@
-//! The fleet simulator: N engine replicas behind a router, driven by a
-//! discrete-event core on one global clock.
+//! The fleet simulator: N engine replicas behind a router, driven round
+//! by round on one global clock.
 //!
-//! The default driver ([`DriveMode::EventDriven`]) keeps a binary-heap
-//! event queue over the two event kinds a fleet has — request arrivals
-//! and replica-ready instants ([`Engine::next_event_time`]) — and always
-//! processes the earliest. A replica is stepped only when it actually has
-//! work scheduled before the next routing decision, so idle replicas cost
-//! nothing per arrival, and every routing decision and metric is stamped
-//! from the single global clock. The previous lockstep driver
-//! ([`DriveMode::Lockstep`]), which swept all N replicas up to each
-//! arrival and let per-replica clocks diverge during the drain, is kept
-//! as the regression oracle: both drivers produce identical per-request
-//! outcomes (pinned by `tests/cluster_serving.rs`).
+//! Aggregated and disaggregated fleets share one driver. Each
+//! [`ClusterSim::advance`] call is one round: it takes the horizon (the
+//! next instant a request can reach a replica — the next arrival, and
+//! under disaggregation also the next KV-transfer maturity and a
+//! causality guard), sweeps every replica's work strictly before it,
+//! classifies completions, then delivers matured transfers and routes
+//! the arrivals due at the horizon. An aggregated fleet has no link, so
+//! its horizon is just the next arrival.
+//!
+//! [`DriveMode`] only picks which replicas a round sweeps. The default
+//! ([`DriveMode::EventDriven`]) sweeps the replicas whose next work
+//! ([`Engine::next_event_time`], kept in a binary heap) lies before the
+//! horizon, so idle replicas cost nothing per round.
+//! [`DriveMode::Lockstep`] sweeps every replica and is kept as the
+//! regression oracle: both produce identical reports (pinned by
+//! `tests/cluster_serving.rs` and `tests/attribution.rs`).
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
@@ -34,21 +39,19 @@ use crate::{
     RouterPolicy, TenantClass, TenantMix, TenantQos, Topology,
 };
 
-/// How the fleet driver advances its replicas.
+/// Which replicas each round of the fleet driver sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub enum DriveMode {
-    /// The discrete-event core (default): a binary-heap event queue over
-    /// arrivals and replica-ready instants. Each replica advances only
-    /// when it has work scheduled before the next event, so per-arrival
+    /// Sweep only the replicas with work before the round horizon, found
+    /// through a binary heap of replica-ready instants (default). Per-round
     /// cost scales with the *busy* replicas, not the fleet size.
     #[default]
     EventDriven,
-    /// The original lockstep driver, kept as the regression oracle: every
-    /// replica is swept up to each arrival instant, and after the last
-    /// arrival the fleet drains round-robin, one iteration per replica
-    /// per round. O(replicas) work per arrival even when most replicas
-    /// are idle. Produces per-request outcomes identical to
-    /// [`DriveMode::EventDriven`].
+    /// Sweep every replica each round, kept as the regression oracle: a
+    /// replica with no work before the horizon is left unchanged by a
+    /// sweep, so the outcomes are identical to
+    /// [`DriveMode::EventDriven`], at O(replicas) work per round even
+    /// when most replicas are idle.
     Lockstep,
 }
 
@@ -76,9 +79,9 @@ pub struct ClusterConfig {
     /// scheduler policy). The `arrival_rate`, `requests` and `seed`
     /// fields are unused — the cluster's [`TenantMix`] owns the workload.
     pub engine: SimConfig,
-    /// How the driver advances replicas. The event-driven core and the
-    /// lockstep oracle produce identical reports; the knob exists for
-    /// regression testing and the `bench_cluster` wall-clock comparison.
+    /// Which replicas each driver round sweeps. Both modes produce
+    /// identical reports; the knob exists for regression testing and the
+    /// `bench_cluster` wall-clock comparison.
     pub drive: DriveMode,
     /// How the fleet divides request lifecycles across replicas
     /// ([`Topology::Aggregated`] by default; see
@@ -245,28 +248,24 @@ impl Ord for TransferAt {
 
 /// A fleet of engine replicas behind a [`Router`].
 ///
-/// The default driver is a discrete-event core on one global clock: a
-/// binary-heap event queue holds each busy replica keyed by the instant
-/// it next has work ([`Engine::next_event_time`]), and the sorted arrival
-/// stream supplies the other event kind. [`ClusterSim::advance`] always
-/// processes the earliest event — it either sweeps the soonest-ready
-/// replica up to the next arrival, or (when no replica has work strictly
-/// before the next arrival) routes that arrival from cached load
-/// snapshots that are refreshed only when a replica steps or receives a
-/// request. Idle
-/// replicas are never touched, so per-event cost scales with the busy
-/// part of the fleet; the drain after the last arrival is the same loop
-/// with no arrivals left, on the same clock.
-///
-/// [`DriveMode::Lockstep`] selects the original sweep-all-replicas
-/// driver, retained as a regression oracle — both drivers produce
-/// identical per-request outcomes and fleet reports.
+/// The driver runs in rounds on one global clock. Each
+/// [`ClusterSim::advance`] call takes the round horizon — the next
+/// arrival, and under disaggregation the next KV-transfer maturity and
+/// the causality guard — and sweeps the replicas with work before it:
+/// under [`DriveMode::EventDriven`] those a binary heap keyed by
+/// [`Engine::next_event_time`] holds before the horizon, under
+/// [`DriveMode::Lockstep`] all of them. It then classifies completions
+/// and delivers the transfers and routes the arrivals due at the
+/// horizon, reading load snapshots that are refreshed only when a
+/// replica steps or receives a request. The drain after the last arrival
+/// is the same loop with no horizon left, on the same clock.
 ///
 /// [`ClusterSim::run`] does all of this in one call; the incremental
 /// [`ClusterSim::submit_stream`] / [`ClusterSim::advance`] /
 /// [`ClusterSim::finish`] surface exists so tests and tools can observe
 /// fleet state (e.g. the conservation invariant
-/// `submitted == completed + rejected + in_flight`) between events.
+/// `submitted == completed + rejected + in_flight + in_transfer`) between
+/// rounds.
 ///
 /// # Examples
 ///
@@ -300,19 +299,22 @@ pub struct ClusterSim<'a> {
     submitted_per_tenant: Vec<usize>,
     rejected_per_tenant: Vec<usize>,
     assignments: Vec<(u64, Option<usize>)>,
-    /// The global fleet clock: the latest event instant processed. Every
+    /// The global fleet clock: the latest instant processed. Every
     /// routing decision is stamped at or after this time.
     clock: Seconds,
-    /// The event queue of the discrete-event driver: busy replicas keyed
-    /// by [`Engine::next_event_time`]. Entries are invalidated lazily —
-    /// every state change pushes a fresh entry, and a popped entry whose
-    /// key no longer matches its replica's live peek is discarded.
+    /// The ready heap of [`DriveMode::EventDriven`]: busy replicas keyed
+    /// by [`Engine::next_event_time`] (empty under lockstep). Entries are
+    /// invalidated lazily — every state change pushes a fresh entry, and
+    /// a popped entry whose key no longer matches its replica's live peek
+    /// is discarded.
     ready: BinaryHeap<Reverse<ReadyAt>>,
     /// Cached per-replica load snapshots, refreshed only when a replica
     /// steps or receives a submission (its load state changes exactly
     /// then, and never merely by time passing).
     snapshots: Vec<ReplicaSnapshot>,
-    /// Replica indices serving fresh prompts under disaggregation.
+    /// Replica indices the front door routes fresh arrivals to: every
+    /// replica of an aggregated fleet, the non-decode replicas of a
+    /// disaggregated one.
     prefill_pool: Vec<usize>,
     /// Replica indices serving transferred contexts under disaggregation.
     decode_pool: Vec<usize>,
@@ -320,8 +322,7 @@ pub struct ClusterSim<'a> {
     /// ever sees the decode pool, so its policy state stays coherent).
     decode_router: Router,
     /// The KV interconnect — `Some` exactly under
-    /// [`Topology::Disaggregated`], which is what switches the drivers
-    /// onto the disaggregated round loop.
+    /// [`Topology::Disaggregated`] (see `disaggregated`).
     link: Option<KvLink>,
     /// Full-model KV bytes per token (transfer serialization sizing).
     kv_bytes_per_token: u64,
@@ -341,8 +342,6 @@ pub struct ClusterSim<'a> {
     pending_stitch: BTreeMap<u64, RequestOutcome>,
     /// Fully stitched end-to-end outcomes (disaggregated runs only).
     stitched: Vec<RequestOutcome>,
-    /// Requests finished end-to-end under disaggregation.
-    finished: usize,
     /// Transfer-span telemetry lane (replica index + event), kept at
     /// fleet level rather than in engine sinks and time-sorted when the
     /// report is built.
@@ -432,19 +431,16 @@ impl<'a> ClusterSim<'a> {
             Topology::Aggregated => None,
             Topology::Disaggregated(link) => Some(link),
         };
-        let prefill_pool: Vec<usize> = roles
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| **r != PoolRole::Decode)
-            .map(|(i, _)| i)
-            .collect();
-        let decode_pool: Vec<usize> = roles
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| **r != PoolRole::Prefill)
-            .map(|(i, _)| i)
-            .collect();
-        if link.is_some() && (prefill_pool.is_empty() || decode_pool.is_empty()) {
+        // Pool roles only matter under disaggregation: an aggregated
+        // fleet's prefill pool is every replica.
+        let pool_without = |excluded: PoolRole| -> Vec<usize> {
+            (0..roles.len())
+                .filter(|&i| link.is_none() || roles[i] != excluded)
+                .collect()
+        };
+        let prefill_pool = pool_without(PoolRole::Decode);
+        let decode_pool = pool_without(PoolRole::Prefill);
+        if prefill_pool.is_empty() || decode_pool.is_empty() {
             return Err(SimError::EmptyConfig);
         }
         let snapshots = engines.iter().map(snapshot).collect();
@@ -473,7 +469,6 @@ impl<'a> ClusterSim<'a> {
             origs: BTreeMap::new(),
             pending_stitch: BTreeMap::new(),
             stitched: Vec::new(),
-            finished: 0,
             transfer_events: Vec::new(),
             kv_transfers: 0,
             kv_transferred_tokens: 0,
@@ -551,108 +546,39 @@ impl<'a> ClusterSim<'a> {
         self.stream = stream.into();
     }
 
-    /// Advances the fleet by one event and returns `false` once fully
+    /// Advances the fleet by one round and returns `false` once fully
     /// drained.
     ///
-    /// Under [`DriveMode::EventDriven`] one event is either a sweep of
-    /// the soonest-ready replica up to the next arrival (its full drain
-    /// once the stream is exhausted) or one routing decision — whichever
-    /// is earliest on the global clock. Under
-    /// [`DriveMode::Lockstep`] one event is one routed arrival (with every
-    /// replica first swept up to the arrival instant) or one round-robin
-    /// drain round. Both drivers preserve the conservation invariant
-    /// `submitted == completed + rejected + in_flight` between calls and
-    /// produce identical per-request outcomes.
+    /// A round takes the horizon — the next instant at which a request
+    /// can reach a replica: the next arrival, and under disaggregation
+    /// also the next KV-transfer maturity or the causality guard — and
+    /// sweeps every replica's work strictly before it. It then
+    /// classifies the completions that surfaced (under disaggregation a
+    /// finished prefill half launches its KV transfer) and processes the
+    /// events *at* the horizon: matured transfers first (maturity, then
+    /// id), then arrivals in stream order. Work scheduled exactly at the horizon runs in the
+    /// next round, after routing, so every routing decision reads
+    /// snapshots of replicas advanced past all work before its instant.
+    /// Once no horizon is left, the round drains the fleet.
+    ///
+    /// [`DriveMode`] only picks which replicas a round sweeps; both
+    /// produce identical outcomes. The conservation invariant
+    /// `submitted == completed + rejected + in_flight + in_transfer`
+    /// holds between calls.
     ///
     /// # Errors
     ///
     /// Propagates engine errors.
     pub fn advance(&mut self) -> Result<bool, SimError> {
-        if self.link.is_some() {
-            return self.advance_disagg();
+        let horizon = self.horizon();
+        if horizon.is_none() && self.engines.iter().all(Engine::is_drained) {
+            return Ok(false);
         }
-        match self.cfg.drive {
-            DriveMode::EventDriven => self.advance_event(),
-            DriveMode::Lockstep => self.advance_lockstep(),
-        }
-    }
-
-    /// The next round horizon of a disaggregated fleet: the earliest of
-    /// the next arrival, the next transfer maturity, and the *causality
-    /// guard* — the earliest instant any prefill-pool replica could
-    /// still discover a completion, plus the link latency. A completion
-    /// discovered at `t ≥ e` spawns a transfer maturing at
-    /// `≥ t + latency ≥ guard`, so nothing swept up to the horizon can
-    /// ever be swept past an undelivered submission (this is why
-    /// [`KvLink::latency`] must be strictly positive). `None` means no
-    /// event can create a new submission anywhere — the fleet just
-    /// drains.
-    fn disagg_horizon(&self) -> Option<Seconds> {
-        // ador-lint: allow(panic) — invariant: only the disaggregated driver calls this
-        let link = self.link.expect("disaggregated driver");
-        let arrival = self.stream.front().map(|cr| cr.request.arrival);
-        let transfer = self.transfers.peek().map(|&Reverse(t)| t.time);
-        let guard = self
-            .prefill_pool
-            .iter()
-            .filter_map(|&i| self.engines[i].next_event_time())
-            .reduce(Seconds::min)
-            .map(|t| t + link.latency);
-        [arrival, transfer, guard]
-            .into_iter()
-            .flatten()
-            .reduce(Seconds::min)
-    }
-
-    /// One round of the disaggregated driver, identical under both drive
-    /// modes: sweep every replica's work strictly before the round
-    /// horizon, classify the completions that surfaced (launching
-    /// transfers), then process the boundary events *at* the horizon —
-    /// matured transfers first (heap order: maturity, then id), then
-    /// arrivals. The horizon strictly increases round over round, and
-    /// the two sweeps differ only in skipping replicas that provably
-    /// have no work (for which a sweep is a no-op), so the drive modes
-    /// stay bit-identical.
-    fn advance_disagg(&mut self) -> Result<bool, SimError> {
-        let Some(h) = self.disagg_horizon() else {
-            // No arrivals, no in-flight transfers, no prefill-side work:
-            // nothing can create a submission anywhere again. Drain the
-            // remaining (decode-side) work and classify the stragglers.
-            if self.engines.iter().all(|e| e.is_drained()) {
-                return Ok(false);
-            }
-            for idx in 0..self.engines.len() {
-                while !self.engines[idx].is_drained() {
-                    self.engines[idx].step()?;
-                }
-                self.clock = self.clock.max(self.engines[idx].now());
-                self.snapshots[idx] = snapshot(&self.engines[idx]);
-            }
-            self.scan_completions();
+        self.sweep(horizon)?;
+        self.scan_completions();
+        let Some(h) = horizon else {
             return Ok(true);
         };
-        match self.cfg.drive {
-            DriveMode::EventDriven => {
-                while let Some(ev) = self.peek_ready() {
-                    if ev.time >= h {
-                        break;
-                    }
-                    self.ready.pop();
-                    self.engines[ev.replica].step_until(h)?;
-                    self.clock = self.clock.max(self.engines[ev.replica].now());
-                    self.snapshots[ev.replica] = snapshot(&self.engines[ev.replica]);
-                    self.push_ready(ev.replica);
-                }
-            }
-            DriveMode::Lockstep => {
-                for idx in 0..self.engines.len() {
-                    self.engines[idx].step_until(h)?;
-                    self.clock = self.clock.max(self.engines[idx].now());
-                    self.snapshots[idx] = snapshot(&self.engines[idx]);
-                }
-            }
-        }
-        self.scan_completions();
         while self.transfers.peek().is_some_and(|&Reverse(t)| t.time <= h) {
             // ador-lint: allow(panic) — invariant: the loop condition peeked the heap
             let Reverse(t) = self.transfers.pop().expect("peeked");
@@ -666,29 +592,124 @@ impl<'a> ClusterSim<'a> {
             // ador-lint: allow(panic) — invariant: the loop condition peeked the stream front
             let cr = self.stream.pop_front().expect("peeked");
             self.clock = self.clock.max(cr.request.arrival);
-            self.route_and_submit_disagg(cr)?;
+            self.route_and_submit(cr)?;
         }
         Ok(true)
     }
 
-    /// Classifies every newly completed engine outcome (replica index
-    /// order, cursor per replica): prefill halves become in-flight
-    /// transfers, decode halves are stitched with their stored prefill
-    /// half into one end-to-end outcome, and unsplit single-output
-    /// requests finish directly.
+    /// The next round horizon: the earliest of the next arrival and,
+    /// under disaggregation, the next transfer maturity and the
+    /// *causality guard* — the earliest instant any prefill-pool replica
+    /// could still discover a completion, plus the link latency. A
+    /// completion discovered at `t ≥ e` spawns a transfer maturing at
+    /// `≥ t + latency ≥ guard`, so nothing swept up to the horizon can
+    /// ever be swept past an undelivered submission (this is why
+    /// [`KvLink::latency`] must be strictly positive). An aggregated
+    /// fleet has no link, so its horizon is just the next arrival.
+    /// `None` means nothing can create a new submission anywhere — the
+    /// fleet just drains.
+    fn horizon(&self) -> Option<Seconds> {
+        let arrival = self.stream.front().map(|cr| cr.request.arrival);
+        let transfer = self.transfers.peek().map(|&Reverse(t)| t.time);
+        let guard = self.link.and_then(|link| {
+            self.prefill_pool
+                .iter()
+                .filter_map(|&i| self.engines[i].next_event_time())
+                .reduce(Seconds::min)
+                .map(|t| t + link.latency)
+        });
+        [arrival, transfer, guard]
+            .into_iter()
+            .flatten()
+            .reduce(Seconds::min)
+    }
+
+    /// Sweeps the round's replicas up to `horizon`, or to their drain
+    /// when there is none. [`DriveMode::EventDriven`] sweeps the replicas
+    /// the ready heap holds before the horizon, soonest first;
+    /// [`DriveMode::Lockstep`] sweeps every replica in index order. A
+    /// replica with no work before the horizon is left unchanged by a
+    /// sweep, so the two modes stay bit-identical.
+    fn sweep(&mut self, horizon: Option<Seconds>) -> Result<(), SimError> {
+        match self.cfg.drive {
+            DriveMode::EventDriven => {
+                while let Some(ev) = self.peek_ready() {
+                    if horizon.is_some_and(|h| ev.time >= h) {
+                        break;
+                    }
+                    self.ready.pop();
+                    self.sweep_replica(ev.replica, horizon)?;
+                }
+            }
+            DriveMode::Lockstep => {
+                for idx in 0..self.engines.len() {
+                    self.sweep_replica(idx, horizon)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Steps one replica through its work before `horizon` (all of it
+    /// when `None`) and refreshes its snapshot and ready entry.
+    fn sweep_replica(&mut self, idx: usize, horizon: Option<Seconds>) -> Result<(), SimError> {
+        let engine = &mut self.engines[idx];
+        match horizon {
+            Some(h) => engine.step_until(h)?,
+            None => {
+                while !engine.is_drained() {
+                    engine.step()?;
+                }
+            }
+        }
+        self.clock = self.clock.max(engine.now());
+        self.snapshots[idx] = snapshot(engine);
+        self.push_ready(idx);
+        Ok(())
+    }
+
+    /// Whether the fleet splits request lifecycles across pools — the
+    /// driver's one topology switch. A disaggregated fleet splits the
+    /// requests it admits, classifies the halves its engines complete
+    /// and reports stitched outcomes; an aggregated fleet's engine
+    /// outcomes are already end to end.
+    fn disaggregated(&self) -> bool {
+        self.link.is_some()
+    }
+
+    /// The fleet's end-to-end outcomes: the stitched ones under
+    /// disaggregation, else every engine's outcomes in engine-major
+    /// order (float means and sums over them depend on that order).
+    fn e2e_outcomes(&self) -> impl Iterator<Item = &RequestOutcome> + '_ {
+        let engines: &[Engine<'a>] = if self.disaggregated() {
+            &[]
+        } else {
+            &self.engines
+        };
+        self.stitched
+            .iter()
+            .chain(engines.iter().flat_map(Engine::outcomes))
+    }
+
+    /// Classifies every newly completed engine outcome of a
+    /// disaggregated fleet (replica index order, cursor per replica):
+    /// prefill halves become in-flight transfers, decode halves are
+    /// stitched with their stored prefill half into one end-to-end
+    /// outcome, and unsplit single-output requests finish directly. An
+    /// aggregated fleet has nothing to classify.
     fn scan_completions(&mut self) {
+        if !self.disaggregated() {
+            return;
+        }
         for idx in 0..self.engines.len() {
-            let fresh: Vec<RequestOutcome> =
-                self.engines[idx].outcomes()[self.seen_outcomes[idx]..].to_vec();
-            self.seen_outcomes[idx] += fresh.len();
-            for o in fresh {
+            while let Some(&o) = self.engines[idx].outcomes().get(self.seen_outcomes[idx]) {
+                self.seen_outcomes[idx] += 1;
                 if o.request.imported_context > 0 {
                     self.stitch(o);
                 } else if self.origs.contains_key(&o.request.id) {
                     self.launch_transfer(idx, o);
                 } else {
                     self.stitched.push(o);
-                    self.finished += 1;
                 }
             }
         }
@@ -762,7 +783,6 @@ impl<'a> ClusterSim<'a> {
             max_tbt: handoff_gap.max(decode.max_tbt),
             e2e,
         });
-        self.finished += 1;
     }
 
     /// Lands one matured transfer: route within the decode pool and
@@ -790,19 +810,16 @@ impl<'a> ClusterSim<'a> {
                 },
             ));
         }
-        self.engines[idx].submit(t.request)?;
-        self.snapshots[idx] = snapshot(&self.engines[idx]);
-        if self.cfg.drive == DriveMode::EventDriven {
-            self.push_ready(idx);
-        }
-        Ok(())
+        self.submit_to(idx, t.request)
     }
 
-    /// Routes one fresh arrival within the prefill pool, splitting it
-    /// into its prefill half (same id, `output_tokens == 1`) unless the
-    /// request generates nothing beyond its first token — those complete
-    /// on the prefill side and are never shipped.
-    fn route_and_submit_disagg(&mut self, cr: ClusterRequest) -> Result<(), SimError> {
+    /// Routes one fresh arrival within the prefill pool — every replica
+    /// of an aggregated fleet — from the current snapshots, and submits
+    /// or sheds it. A disaggregated fleet submits the request's prefill
+    /// half (same id, `output_tokens == 1`) unless the request generates
+    /// nothing beyond its first token; those complete on the prefill
+    /// side and are never shipped.
+    fn route_and_submit(&mut self, cr: ClusterRequest) -> Result<(), SimError> {
         let idx = self.router.route_pool(
             cr.tenant,
             self.classes.len(),
@@ -814,121 +831,7 @@ impl<'a> ClusterSim<'a> {
             .cfg
             .queue_cap
             .is_none_or(|cap| self.snapshots[idx].queue_depth < cap);
-        if admit {
-            let mut job = cr.request;
-            if job.output_tokens > 1 {
-                job.output_tokens = 1;
-                self.origs.insert(cr.request.id, cr.request);
-            }
-            self.engines[idx].submit(job)?;
-            self.snapshots[idx] = snapshot(&self.engines[idx]);
-            if self.cfg.drive == DriveMode::EventDriven {
-                self.push_ready(idx);
-            }
-            self.assignments.push((cr.request.id, Some(idx)));
-        } else {
-            if let Some(sink) = self.engines[idx].event_sink_mut() {
-                sink.record(&Event {
-                    time: self.clock,
-                    request: cr.request.id,
-                    kind: EventKind::Shed,
-                });
-            }
-            self.rejected_per_tenant[cr.tenant] += 1;
-            self.assignments.push((cr.request.id, None));
-        }
-        Ok(())
-    }
-
-    /// One discrete event: the earlier of (replica-ready, next arrival).
-    /// A ready replica is swept up to the next arrival in one go (its
-    /// iterations are internal to the engine — no other event can
-    /// interleave, since engines are independent); work scheduled exactly
-    /// *at* the arrival instant runs after routing, matching the lockstep
-    /// sweep's `now < arrival` bound, so both drivers route from
-    /// identical snapshots. With no arrivals left, the soonest-ready
-    /// replica drains completely — per-replica timelines that would drift
-    /// apart under lockstep's round-robin drain all end on the one global
-    /// clock here.
-    fn advance_event(&mut self) -> Result<bool, SimError> {
-        let next_arrival = self.stream.front().map(|cr| cr.request.arrival);
-        match (next_arrival, self.peek_ready()) {
-            (arrival, Some(ev)) if arrival.is_none_or(|t| ev.time < t) => {
-                self.ready.pop();
-                let engine = &mut self.engines[ev.replica];
-                match arrival {
-                    Some(horizon) => engine.step_until(horizon)?,
-                    None => {
-                        while !engine.is_drained() {
-                            engine.step()?;
-                        }
-                    }
-                }
-                self.clock = self.clock.max(self.engines[ev.replica].now());
-                self.snapshots[ev.replica] = snapshot(&self.engines[ev.replica]);
-                self.push_ready(ev.replica);
-                Ok(true)
-            }
-            (Some(arrival), _) => {
-                // ador-lint: allow(panic) — invariant: the match arm peeked the stream front
-                let cr = self.stream.pop_front().expect("peeked");
-                self.clock = self.clock.max(arrival);
-                self.route_and_submit(cr)?;
-                Ok(true)
-            }
-            (None, _) => Ok(false),
-        }
-    }
-
-    /// The lockstep oracle: sweep every replica up to the arrival, route,
-    /// and (once the stream is exhausted) drain round-robin on diverging
-    /// per-replica clocks. Engines are independent, so the per-request
-    /// outcomes still match the event core exactly; only the driver's
-    /// per-arrival cost (O(replicas), idle or not) differs.
-    fn advance_lockstep(&mut self) -> Result<bool, SimError> {
-        if let Some(cr) = self.stream.pop_front() {
-            let arrival = cr.request.arrival;
-            for (idx, engine) in self.engines.iter_mut().enumerate() {
-                engine.step_until(arrival)?;
-                self.snapshots[idx] = snapshot(engine);
-            }
-            self.clock = self.clock.max(arrival);
-            self.route_and_submit(cr)?;
-            return Ok(true);
-        }
-        let mut any = false;
-        for engine in &mut self.engines {
-            if !engine.is_drained() {
-                engine.step()?;
-                any = true;
-            }
-        }
-        Ok(any)
-    }
-
-    /// Routes one arrival from the current snapshots and submits (or
-    /// sheds) it. The snapshots reflect every replica advanced past all
-    /// work scheduled before the arrival instant, whichever driver
-    /// maintained them.
-    fn route_and_submit(&mut self, cr: ClusterRequest) -> Result<(), SimError> {
-        let idx = self.router.route(
-            cr.tenant,
-            self.classes.len(),
-            cr.request.prefix_group,
-            &self.snapshots,
-        );
-        let admit = self
-            .cfg
-            .queue_cap
-            .is_none_or(|cap| self.snapshots[idx].queue_depth < cap);
-        if admit {
-            self.engines[idx].submit(cr.request)?;
-            self.snapshots[idx] = snapshot(&self.engines[idx]);
-            if self.cfg.drive == DriveMode::EventDriven {
-                self.push_ready(idx);
-            }
-            self.assignments.push((cr.request.id, Some(idx)));
-        } else {
+        if !admit {
             // The shed is attributed to the replica the router *would*
             // have used — that is the queue whose pressure caused it.
             if let Some(sink) = self.engines[idx].event_sink_mut() {
@@ -940,12 +843,33 @@ impl<'a> ClusterSim<'a> {
             }
             self.rejected_per_tenant[cr.tenant] += 1;
             self.assignments.push((cr.request.id, None));
+            return Ok(());
         }
+        let mut job = cr.request;
+        if self.disaggregated() && job.output_tokens > 1 {
+            job.output_tokens = 1;
+            self.origs.insert(job.id, cr.request);
+        }
+        self.submit_to(idx, job)?;
+        self.assignments.push((cr.request.id, Some(idx)));
         Ok(())
     }
 
-    /// Enqueues `replica`'s next-work instant (no-op once drained).
+    /// Submits `request` to replica `idx` and refreshes its snapshot and
+    /// ready entry.
+    fn submit_to(&mut self, idx: usize, request: Request) -> Result<(), SimError> {
+        self.engines[idx].submit(request)?;
+        self.snapshots[idx] = snapshot(&self.engines[idx]);
+        self.push_ready(idx);
+        Ok(())
+    }
+
+    /// Enqueues `replica`'s next-work instant (no-op once drained, and
+    /// under lockstep, which sweeps every replica and keeps no heap).
     fn push_ready(&mut self, replica: usize) {
+        if self.cfg.drive == DriveMode::Lockstep {
+            return;
+        }
         if let Some(time) = self.engines[replica].next_event_time() {
             self.ready.push(Reverse(ReadyAt { time, replica }));
         }
@@ -985,11 +909,7 @@ impl<'a> ClusterSim<'a> {
     /// counts only once its decode half finishes and is stitched — its
     /// prefill-half completion is an internal handoff, not service.
     pub fn completed(&self) -> usize {
-        if self.link.is_some() {
-            self.finished
-        } else {
-            self.engines.iter().map(|e| e.completed()).sum()
-        }
+        self.e2e_outcomes().count()
     }
 
     /// Requests shed by admission control.
@@ -1037,19 +957,10 @@ impl<'a> ClusterSim<'a> {
     /// # Panics
     ///
     /// Panics if the fleet has not fully drained (call after
-    /// [`ClusterSim::advance`] returns `false`).
+    /// [`ClusterSim::advance`] returns `false`), or if its books do not
+    /// close: `submitted != completed + rejected` (a driver bug).
     pub fn finish(mut self) -> FleetReport {
         assert!(self.is_done(), "finish() requires a drained fleet");
-        if self.link.is_some() {
-            // Safety net for callers that drained through their own loop:
-            // classification normally already ran inside advance().
-            self.scan_completions();
-            debug_assert_eq!(
-                self.offered,
-                self.finished + self.rejected(),
-                "disaggregated conservation must close the books"
-            );
-        }
         let telemetry = self.collect_telemetry();
         let attribution = match &telemetry {
             Some(t) if self.telemetry_cfg.attribution_enabled() => Some(self.attribute(&t.events)),
@@ -1057,22 +968,30 @@ impl<'a> ClusterSim<'a> {
         };
         let per_replica: Vec<Option<QosReport>> = self.engines.iter().map(|e| e.report()).collect();
         let completed_reports: Vec<QosReport> = per_replica.iter().flatten().cloned().collect();
-        let fleet = if self.link.is_some() {
-            // Per-replica reports describe halves. Counters (tokens
-            // prefilled/generated, preemptions, peaks, step means) sum
-            // and max correctly over halves, but every latency and
-            // throughput population must come from the stitched
-            // end-to-end outcomes — a half's TTFT or e2e means nothing
-            // to a user.
-            if self.stitched.is_empty() {
+        // The pooled copy of the end-to-end outcomes lives only while the
+        // fleet QoS is built, keeping it out of the report's peak memory.
+        let fleet = {
+            let pooled: Vec<RequestOutcome> = self.e2e_outcomes().copied().collect();
+            // Invariant: every offered request is routed once and then either
+            // shed or completed end to end exactly once, so a drained fleet's
+            // books close in both topologies. O(1), checked in every build.
+            assert_eq!(
+                self.offered,
+                pooled.len() + self.rejected(),
+                "conservation must close the books"
+            );
+            if pooled.is_empty() {
                 None
-            } else {
+            } else if self.disaggregated() {
+                // Per-replica reports describe halves. Counters (tokens
+                // prefilled/generated, preemptions, peaks, step means) sum
+                // and max correctly over halves, but every latency and
+                // throughput population must come from the stitched
+                // end-to-end outcomes — a half's TTFT or e2e means nothing
+                // to a user.
                 let merged = QosReport::merge(&completed_reports);
-                let exact = QosReport::from_outcomes(
-                    &self.stitched,
-                    merged.makespan,
-                    EngineCounters::default(),
-                );
+                let exact =
+                    QosReport::from_outcomes(&pooled, merged.makespan, EngineCounters::default());
                 Some(QosReport {
                     completed: exact.completed,
                     ttft: exact.ttft,
@@ -1086,16 +1005,9 @@ impl<'a> ClusterSim<'a> {
                     goodput_tokens_per_sec: exact.goodput_tokens_per_sec,
                     ..merged
                 })
+            } else {
+                Some(QosReport::merge_exact(&completed_reports, &pooled))
             }
-        } else if completed_reports.is_empty() {
-            None
-        } else {
-            let pooled: Vec<RequestOutcome> = self
-                .engines
-                .iter()
-                .flat_map(|e| e.outcomes().iter().copied())
-                .collect();
-            Some(QosReport::merge_exact(&completed_reports, &pooled))
         };
 
         let tokens_per_replica: Vec<f64> = self
@@ -1110,18 +1022,8 @@ impl<'a> ClusterSim<'a> {
             .collect();
 
         let mut per_tenant: Vec<Vec<RequestOutcome>> = vec![Vec::new(); self.classes.len()];
-        if self.link.is_some() {
-            for outcome in &self.stitched {
-                let tenant = self.tenant_of[&outcome.request.id];
-                per_tenant[tenant].push(*outcome);
-            }
-        } else {
-            for engine in &self.engines {
-                for outcome in engine.outcomes() {
-                    let tenant = self.tenant_of[&outcome.request.id];
-                    per_tenant[tenant].push(*outcome);
-                }
-            }
+        for outcome in self.e2e_outcomes() {
+            per_tenant[self.tenant_of[&outcome.request.id]].push(*outcome);
         }
         let tenants: Vec<TenantQos> = self
             .classes
@@ -1161,8 +1063,8 @@ impl<'a> ClusterSim<'a> {
     /// report's [`FleetTelemetry`] block, or `None` when the run was
     /// untraced (keeping untraced reports bit-identical to
     /// pre-telemetry ones). Per-tenant goodput is derived post-hoc from
-    /// the pooled outcomes on the shared fleet clock, so it exists even
-    /// when events flow through a bounded flight recorder.
+    /// the fleet's end-to-end outcomes on the shared fleet clock, so it
+    /// exists even when events flow through a bounded flight recorder.
     fn collect_telemetry(&mut self) -> Option<FleetTelemetry> {
         let tcfg = self.telemetry_cfg;
         if !tcfg.enabled() {
@@ -1206,25 +1108,11 @@ impl<'a> ClusterSim<'a> {
             Some(interval) => {
                 let mut completions: Vec<Vec<(Seconds, u64)>> =
                     vec![Vec::new(); self.classes.len()];
-                let mut record = |o: &RequestOutcome| {
-                    let tenant = self.tenant_of[&o.request.id];
-                    completions[tenant].push((
+                for o in self.e2e_outcomes() {
+                    completions[self.tenant_of[&o.request.id]].push((
                         o.request.arrival + o.e2e,
                         conv::u64_from_usize(o.request.output_tokens),
                     ));
-                };
-                if self.link.is_some() {
-                    // Halves are bookkeeping; goodput counts end-to-end
-                    // service once, on the stitched outcomes.
-                    for o in &self.stitched {
-                        record(o);
-                    }
-                } else {
-                    for engine in &self.engines {
-                        for o in engine.outcomes() {
-                            record(o);
-                        }
-                    }
                 }
                 let per_tenant = completions
                     .iter()
@@ -1245,28 +1133,18 @@ impl<'a> ClusterSim<'a> {
 
     /// Replays the recorded event streams into per-tenant blame ledgers
     /// (see [`ador_telemetry::attribution`]): each attributed request is
-    /// judged against its tenant's SLO, misses are blamed on their
-    /// dominant loss, and shed requests are counted without time-loss.
+    /// judged by its end-to-end outcome against its tenant's SLO, misses
+    /// are blamed on their dominant loss, and shed requests are counted
+    /// without time-loss.
     /// The fleet ledger is the exact merge of the tenant ledgers.
     fn attribute(&self, events: &[Vec<Event>]) -> FleetAttribution {
-        let mut met: BTreeMap<u64, bool> = BTreeMap::new();
-        let mut judge = |o: &RequestOutcome, classes: &[TenantClass]| {
-            let slo = classes[self.tenant_of[&o.request.id]].slo;
-            met.insert(o.request.id, slo.met(o));
-        };
-        if self.link.is_some() {
-            // Halves mean nothing to a user: judge stitched end-to-end
-            // outcomes, exactly like the per-tenant QoS does.
-            for o in &self.stitched {
-                judge(o, &self.classes);
-            }
-        } else {
-            for engine in &self.engines {
-                for o in engine.outcomes() {
-                    judge(o, &self.classes);
-                }
-            }
-        }
+        let met: BTreeMap<u64, bool> = self
+            .e2e_outcomes()
+            .map(|o| {
+                let slo = self.classes[self.tenant_of[&o.request.id]].slo;
+                (o.request.id, slo.met(o))
+            })
+            .collect();
         let mut per_tenant = vec![AttributionReport::default(); self.classes.len()];
         for attr in ador_telemetry::attribute_events(events) {
             let Some(&tenant) = self.tenant_of.get(&attr.request) else {
@@ -1435,6 +1313,29 @@ mod tests {
         assert_eq!(sheds, report.rejected);
     }
 
+    #[test]
+    fn lockstep_stamps_sheds_like_the_event_driver() {
+        // A shed is stamped with the fleet clock, which both drive modes
+        // advance from the replicas they sweep, so traced runs under
+        // admission control agree event for event.
+        let arch = ador_table3();
+        let model = presets::llama3_8b();
+        let run = |drive: DriveMode| {
+            let cfg = ClusterConfig::new(2, RouterPolicy::JoinShortestQueue)
+                .with_engine(SimConfig::new(1.0, 4))
+                .with_queue_cap(2)
+                .with_telemetry(TelemetryConfig::trace())
+                .with_drive_mode(drive);
+            ClusterSim::new(&arch, &model, Deployment::single_device(), cfg)
+                .unwrap()
+                .run(&two_class_mix(100.0), 80, 9)
+                .unwrap()
+        };
+        let event = run(DriveMode::EventDriven);
+        assert!(event.rejected > 0, "overload must shed");
+        assert_eq!(event, run(DriveMode::Lockstep));
+    }
+
     fn disagg_link() -> KvLink {
         KvLink::new(
             ador_units::Bandwidth::from_gbps(64.0),
@@ -1550,6 +1451,27 @@ mod tests {
         assert_eq!(fast_qos.ttft.mean, slow_qos.ttft.mean);
         assert!(slow_qos.e2e.mean > fast_qos.e2e.mean);
         assert!(slow_qos.tbt.max >= fast_qos.tbt.max);
+    }
+
+    #[test]
+    fn aggregated_fleets_ignore_pool_roles() {
+        // Roles only split pools under disaggregation: an aggregated
+        // fleet routes fresh arrivals across every replica.
+        let model = presets::llama3_8b();
+        let cfg = ClusterConfig::new(0, RouterPolicy::RoundRobin);
+        let report =
+            ClusterSim::new_fleet(&pd_fleet(1, 1), &model, Deployment::single_device(), cfg)
+                .unwrap()
+                .run(&two_class_mix(4.0), 20, 3)
+                .unwrap();
+        assert_eq!(report.completed, 20);
+        assert_eq!(report.kv_transfers, 0);
+        let on_decode_role = report
+            .assignments
+            .iter()
+            .filter(|(_, r)| *r == Some(1))
+            .count();
+        assert_eq!(on_decode_role, 10, "round-robin over both replicas");
     }
 
     #[test]

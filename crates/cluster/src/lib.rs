@@ -7,14 +7,16 @@
 //! once. This crate adds that layer on top of [`ador_serving`]'s
 //! incremental [`Engine`](ador_serving::Engine) API:
 //!
-//! - **[`ClusterSim`]** — N independent engine replicas driven by a
-//!   discrete-event core on one global clock: a binary-heap event queue
-//!   over arrivals and replica-ready instants, so each replica advances
-//!   only when it actually has work and every routing decision reads load
-//!   snapshots consistent with the single fleet timeline. The original
-//!   lockstep sweep survives as [`DriveMode::Lockstep`], the regression
-//!   oracle the event core is pinned against (identical per-request
-//!   outcomes).
+//! - **[`ClusterSim`]** — N independent engine replicas driven round by
+//!   round on one global clock, one driver for aggregated and
+//!   disaggregated fleets alike. Each [`ClusterSim::advance`] call is one
+//!   round: sweep the replicas with work before the next instant a
+//!   request can reach a replica (found through a binary heap of
+//!   replica-ready instants, so idle replicas cost nothing), then route
+//!   what arrives there, so every routing decision reads load snapshots
+//!   consistent with the single fleet timeline. [`DriveMode::Lockstep`]
+//!   sweeps every replica instead and is kept as the regression oracle
+//!   (identical per-request outcomes).
 //! - **[`Router`] / [`RouterPolicy`]** — pluggable routing:
 //!   round-robin (the count-balancing baseline), join-shortest-queue,
 //!   least-KV-load (token-backlog aware), SLO-aware class partitioning,
@@ -46,9 +48,10 @@
 //!   decode halves run in the decode pool under
 //!   [`ClusterConfig::decode_policy`]. Conservation extends to the
 //!   link: `submitted == completed + rejected + in_flight +
-//!   in_transfer` at every event boundary.
+//!   in_transfer` at every round boundary.
 //! - **[`FleetReport`]** — fleet-wide QoS: the merged engine report
-//!   (via [`QosReport::merge`](ador_serving::QosReport::merge)),
+//!   (exact union percentiles via
+//!   [`QosReport::merge_exact`](ador_serving::QosReport::merge_exact)),
 //!   per-tenant SLO attainment (shed requests count as misses),
 //!   per-replica utilization imbalance, the full routing trace, and the
 //!   KV-transfer counters of a disaggregated run.

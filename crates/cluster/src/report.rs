@@ -142,9 +142,8 @@ pub struct FleetReport {
     /// The merged engine-level report, or `None` if nothing completed.
     /// Built via [`QosReport::merge_exact`] from the pooled per-request
     /// outcomes on the shared fleet clock, so its latency percentiles are
-    /// exact union percentiles (not the bound-based
-    /// [`LatencyStats::merge`] maximum) and its makespan/throughput never
-    /// mix per-replica timelines.
+    /// exact union percentiles and its makespan/throughput never mix
+    /// per-replica timelines.
     pub fleet: Option<QosReport>,
     /// Per-replica reports; `None` for replicas that completed nothing.
     pub per_replica: Vec<Option<QosReport>>,

@@ -155,36 +155,74 @@ impl Router {
         replicas: &[ReplicaSnapshot],
     ) -> usize {
         assert!(!replicas.is_empty(), "cannot route across zero replicas");
+        self.pick(tenant, classes, prefix_group, replicas.len(), |i| {
+            &replicas[i]
+        })
+    }
+
+    /// Picks a replica from the subset `pool` (fleet-wide indices into
+    /// `replicas`), applying the policy pool-locally: load comparisons,
+    /// round-robin cycling, `SloAware` partitioning and affinity pins
+    /// all see only the pool's members, and the returned index is mapped
+    /// back to the fleet. A fleet's routers each own one pool, so always
+    /// calling a given router with the same pool keeps its cursor/pin
+    /// state coherent. Over the identity pool this is [`Router::route`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pool` is empty.
+    pub fn route_pool(
+        &mut self,
+        tenant: usize,
+        classes: usize,
+        prefix_group: Option<u64>,
+        replicas: &[ReplicaSnapshot],
+        pool: &[usize],
+    ) -> usize {
+        assert!(!pool.is_empty(), "cannot route across an empty pool");
+        pool[self.pick(tenant, classes, prefix_group, pool.len(), |i| {
+            &replicas[pool[i]]
+        })]
+    }
+
+    /// The policy over `n ≥ 1` candidates whose snapshots `at` yields by
+    /// candidate index; returns a candidate index.
+    fn pick<'s>(
+        &mut self,
+        tenant: usize,
+        classes: usize,
+        prefix_group: Option<u64>,
+        n: usize,
+        at: impl Fn(usize) -> &'s ReplicaSnapshot,
+    ) -> usize {
         match self.policy {
             RouterPolicy::RoundRobin => {
-                let idx = self.rr_next % replicas.len();
+                let idx = self.rr_next % n;
                 self.rr_next = self.rr_next.wrapping_add(1);
                 idx
             }
-            RouterPolicy::JoinShortestQueue => argmin(0..replicas.len(), |i| replicas[i].load()),
-            RouterPolicy::LeastKvLoad => argmin(0..replicas.len(), |i| replicas[i].kv_load()),
+            RouterPolicy::JoinShortestQueue => argmin(0..n, |i| at(i).load()),
+            RouterPolicy::LeastKvLoad => argmin(0..n, |i| at(i).kv_load()),
             RouterPolicy::SloAware => {
+                // Class `c` owns candidates c, c + classes, c + 2·classes, …
                 let classes = classes.max(1);
-                let partition: Vec<usize> = (0..replicas.len())
-                    .filter(|r| r % classes == tenant % classes)
-                    .collect();
-                if partition.is_empty() {
-                    argmin(0..replicas.len(), |i| replicas[i].load())
+                let first = tenant % classes;
+                if first < n {
+                    argmin((first..n).step_by(classes), |i| at(i).load())
                 } else {
-                    argmin(partition.into_iter(), |i| replicas[i].load())
+                    argmin(0..n, |i| at(i).load())
                 }
             }
             RouterPolicy::CacheAffinity => {
-                let fallback = argmin(0..replicas.len(), |i| replicas[i].kv_load());
+                let fallback = argmin(0..n, |i| at(i).kv_load());
                 let Some(group) = prefix_group else {
                     return fallback;
                 };
                 self.routed += 1;
                 let chosen = match self.affinity.get(&group) {
                     Some(&(pinned, _))
-                        if pinned < replicas.len()
-                            && replicas[pinned].kv_load()
-                                <= replicas[fallback].kv_load() + AFFINITY_SPILL =>
+                        if pinned < n
+                            && at(pinned).kv_load() <= at(fallback).kv_load() + AFFINITY_SPILL =>
                     {
                         pinned
                     }
@@ -203,30 +241,6 @@ impl Router {
                 chosen
             }
         }
-    }
-
-    /// Picks a replica from the subset `pool` (fleet-wide indices into
-    /// `replicas`), applying the policy pool-locally: load comparisons,
-    /// round-robin cycling, `SloAware` partitioning and affinity pins
-    /// all see only the pool's members, and the returned index is mapped
-    /// back to the fleet. A disaggregated fleet's routers each own one
-    /// pool, so always calling a given router with the same pool keeps
-    /// its cursor/pin state coherent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pool` is empty.
-    pub fn route_pool(
-        &mut self,
-        tenant: usize,
-        classes: usize,
-        prefix_group: Option<u64>,
-        replicas: &[ReplicaSnapshot],
-        pool: &[usize],
-    ) -> usize {
-        assert!(!pool.is_empty(), "cannot route across an empty pool");
-        let local: Vec<ReplicaSnapshot> = pool.iter().map(|&i| replicas[i]).collect();
-        pool[self.route(tenant, classes, prefix_group, &local)]
     }
 }
 
@@ -374,6 +388,49 @@ mod tests {
             affinity.route(0, 1, None, &snaps),
             kv.route(0, 1, None, &snaps)
         );
+    }
+
+    #[test]
+    fn route_pool_is_route_over_the_identity_pool_and_stays_in_a_sub_pool() {
+        let policies = [
+            RouterPolicy::RoundRobin,
+            RouterPolicy::JoinShortestQueue,
+            RouterPolicy::LeastKvLoad,
+            RouterPolicy::SloAware,
+            RouterPolicy::CacheAffinity,
+        ];
+        let start: Vec<ReplicaSnapshot> = (0..5)
+            .map(|i| snap((i * 7) % 4, i % 3, (i * 311) % 1000))
+            .collect();
+        let identity: Vec<usize> = (0..start.len()).collect();
+        let sub = [1, 3, 4];
+        for policy in policies {
+            let (mut whole, mut pooled, mut part) = (
+                Router::new(policy),
+                Router::new(policy),
+                Router::new(policy),
+            );
+            let (mut fleet, mut fleet_part) = (start.clone(), start.clone());
+            let mut part_picks = Vec::new();
+            for step in 0..48u64 {
+                let tenant = (step % 3) as usize;
+                let group = (step % 4 != 0).then_some(step % 6);
+                let want = whole.route(tenant, 3, group, &fleet);
+                let got = pooled.route_pool(tenant, 3, group, &fleet, &identity);
+                assert_eq!(got, want, "{policy}: step {step}");
+                let picked = part.route_pool(tenant, 3, group, &fleet_part, &sub);
+                assert!(sub.contains(&picked), "{policy} left its pool: {picked}");
+                part_picks.push(picked);
+                // Load the chosen replicas so load-aware picks move.
+                for (snaps, r) in [(&mut fleet, want), (&mut fleet_part, picked)] {
+                    snaps[r].queue_depth += 1;
+                    snaps[r].kv_in_use += 97;
+                }
+            }
+            if policy == RouterPolicy::RoundRobin {
+                assert_eq!(part_picks[..6], [1, 3, 4, 1, 3, 4], "cycles pool-locally");
+            }
+        }
     }
 
     #[test]

@@ -168,9 +168,8 @@ pub fn spec_fleet(replicas: usize, policy: SpeculationPolicy) -> ClusterConfig {
 /// summarization tenant queues tens of requests deep during ON periods,
 /// yet the fleet still drains (makespan within ~25 % of the arrival
 /// window). That regime is deliberate: deep-but-bounded queues are where
-/// the lockstep driver's per-arrival all-replica snapshot rebuild (each
-/// an O(queue) `backlog_tokens` scan) hurts most, which is exactly the
-/// overhead the event core removes.
+/// lockstep's per-round all-replica sweep and snapshot rebuild hurts
+/// most, which is exactly the overhead the event-driven mode removes.
 pub const SCALE_RATE_PER_REPLICA: f64 = 6.0;
 
 /// Workload seed of the scale-grid scenario.

@@ -52,54 +52,6 @@ impl LatencyStats {
             max: pick(1.0),
         }
     }
-
-    /// Merges per-group summaries (each with its sample count) into one
-    /// fleet-wide summary, without access to the raw populations.
-    ///
-    /// `mean` is the exact count-weighted mean and `max` is exact. The
-    /// percentiles are the **maximum over groups** — a sound upper bound
-    /// on the union percentile (at least a q-fraction of every group lies
-    /// at or below its own q-quantile, so at least a q-fraction of the
-    /// union lies at or below the largest group q-quantile), but biased
-    /// upward when the groups are imbalanced. Fleet-level SLO checks on a
-    /// merged summary are therefore conservative: a pass is trustworthy, a
-    /// narrow miss may be a merge artifact.
-    ///
-    /// Use this bound-based path only when the raw per-request outcomes
-    /// are unavailable (pre-aggregated summaries, external data). A caller
-    /// that still holds the outcomes — the cluster driver does — should
-    /// recompute from the pooled population instead
-    /// ([`QosReport::merge_exact`]), which makes the fleet percentiles
-    /// exact rather than an upper bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts` is empty or the counts sum to zero.
-    pub fn merge(parts: &[(Self, usize)]) -> Self {
-        let total: usize = parts.iter().map(|&(_, n)| n).sum();
-        assert!(
-            !parts.is_empty() && total > 0,
-            "cannot merge an empty latency population"
-        );
-        let weighted_mean = parts
-            .iter()
-            .map(|&(s, n)| s.mean * (conv::f64_from_usize(n) / conv::f64_from_usize(total)))
-            .sum::<Seconds>();
-        let fold = |pick: fn(&Self) -> Seconds| {
-            parts
-                .iter()
-                .filter(|&&(_, n)| n > 0)
-                .map(|(s, _)| pick(s))
-                .fold(Seconds::ZERO, Seconds::max)
-        };
-        Self {
-            mean: weighted_mean,
-            p50: fold(|s| s.p50),
-            p95: fold(|s| s.p95),
-            p99: fold(|s| s.p99),
-            max: fold(|s| s.max),
-        }
-    }
 }
 
 /// Engine-level counters the scheduler accumulates across its iterations,
@@ -198,8 +150,7 @@ pub struct QosReport {
     /// Log-bucketed TTFT population. Unlike the [`LatencyStats`] summary,
     /// histograms merge exactly (bucket counts add), so fleet-level
     /// percentiles derived from the merged histogram are within the bucket
-    /// width (6.25 %) of the true union percentile instead of a
-    /// max-over-replicas upper bound.
+    /// width (6.25 %) of the true union percentile.
     pub ttft_hist: LatencyHistogram,
     /// Log-bucketed per-request mean-TBT population.
     pub tbt_hist: LatencyHistogram,
@@ -297,11 +248,9 @@ impl QosReport {
     /// Latency populations merge through the log-bucketed histograms,
     /// whose bucket counts add exactly: the fleet percentiles are read
     /// from the merged histogram and land within one bucket (6.25 %)
-    /// above the true union percentile — far tighter than the
-    /// max-over-replicas upper bound [`LatencyStats::merge`] falls back
-    /// on when no histogram is available, yet still never *below* the
-    /// exact value, so fleet-level SLO checks stay conservative. Means
-    /// and maxima are exact. A single-report merge is the identity.
+    /// above the true union percentile, never *below* it, so fleet-level
+    /// SLO checks stay conservative. Means and maxima are exact. A
+    /// single-report merge is the identity.
     ///
     /// # Panics
     ///
@@ -394,8 +343,7 @@ impl QosReport {
     /// every population-derived figure with the exact value recomputed
     /// from the pooled per-request `outcomes` on the shared fleet clock:
     /// latency percentiles are the true union percentiles (not the
-    /// bound-based maximum over replicas — see [`LatencyStats::merge`]),
-    /// and the throughput figures divide the pooled token totals by the
+    /// merged histograms' one-bucket upper bound), and the throughput figures divide the pooled token totals by the
     /// fleet makespan (the latest replica finish time) directly instead of
     /// recovering them from per-replica rates.
     ///
@@ -543,40 +491,6 @@ mod tests {
     }
 
     #[test]
-    fn latency_merge_bounds_the_union() {
-        // Two imbalanced groups: the merged percentiles must upper-bound
-        // the exact union percentiles, and the merged mean must equal the
-        // exact union mean.
-        let a: Vec<Seconds> = (1..=90).map(|i| Seconds::from_millis(i as f64)).collect();
-        let b: Vec<Seconds> = (91..=100).map(|i| Seconds::from_millis(i as f64)).collect();
-        let merged = LatencyStats::merge(&[
-            (LatencyStats::from_samples(&a), a.len()),
-            (LatencyStats::from_samples(&b), b.len()),
-        ]);
-        let union: Vec<Seconds> = a.iter().chain(&b).copied().collect();
-        let exact = LatencyStats::from_samples(&union);
-        assert!((merged.mean.get() - exact.mean.get()).abs() < 1e-12);
-        assert!(merged.p50 >= exact.p50);
-        assert!(merged.p95 >= exact.p95);
-        assert!(merged.p99 >= exact.p99);
-        assert_eq!(merged.max, exact.max);
-    }
-
-    #[test]
-    fn latency_merge_of_identical_groups_is_identity() {
-        let s: Vec<Seconds> = (1..=50).map(|i| Seconds::from_millis(i as f64)).collect();
-        let stats = LatencyStats::from_samples(&s);
-        let merged = LatencyStats::merge(&[(stats, 50), (stats, 50)]);
-        assert_eq!(merged, stats);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty")]
-    fn latency_merge_rejects_empty() {
-        let _ = LatencyStats::merge(&[]);
-    }
-
-    #[test]
     fn report_merge_sums_counts_and_maxes_peaks() {
         let mk = |n: usize, makespan: f64, batch: f64| {
             let outcomes: Vec<RequestOutcome> =
@@ -682,8 +596,7 @@ mod tests {
     #[test]
     fn merged_histogram_percentiles_bracket_the_exact_union() {
         // The histogram-backed merge must land between the exact union
-        // percentile and one bucket (6.25 %) above it — strictly tighter
-        // than the old max-over-replicas bound on imbalanced groups.
+        // percentile and one bucket (6.25 %) above it.
         let fast: Vec<RequestOutcome> = (1..=90).map(|i| outcome(i, i as f64, 10.0)).collect();
         let slow: Vec<RequestOutcome> = (91..=100)
             .map(|i| outcome(i, i as f64 * 10.0, 10.0))
@@ -693,7 +606,6 @@ mod tests {
         let pooled: Vec<RequestOutcome> = fast.iter().chain(&slow).copied().collect();
         let truth = QosReport::from_outcomes(&pooled, Seconds::new(9.0), EngineCounters::default());
 
-        let bound = LatencyStats::merge(&[(a.ttft, a.completed), (b.ttft, b.completed)]);
         let merged = QosReport::merge(&[a, b]);
         for (m, t) in [
             (merged.ttft, truth.ttft),
@@ -712,11 +624,6 @@ mod tests {
                 "means are exact"
             );
         }
-        // Strictly tighter than the max-over-replicas bound: the old path
-        // reported the slow replica's p50 (≈ 955 ms) as the fleet p50; the
-        // histogram stays within a bucket of the true 50 ms.
-        assert!(merged.ttft.p50 < bound.p50);
-        assert!(merged.ttft.p95 < bound.p95);
     }
 
     #[test]
