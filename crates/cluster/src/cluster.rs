@@ -24,9 +24,7 @@ use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use ador_hw::Architecture;
 use ador_model::ModelConfig;
 use ador_perf::Deployment;
-use ador_serving::{
-    Engine, EngineCounters, QosReport, Request, RequestOutcome, ServingSim, SimConfig, SimError,
-};
+use ador_serving::{Engine, QosReport, Request, RequestOutcome, ServingSim, SimConfig, SimError};
 use ador_telemetry::{
     goodput_series, AttributionReport, Event, EventKind, TelemetryConfig, TimeSeries,
 };
@@ -246,6 +244,15 @@ impl Ord for TransferAt {
     }
 }
 
+/// One in-progress split request under disaggregation: the original
+/// request, and its prefill half once that completes (it waits here for
+/// the decode half to be stitched onto it).
+#[derive(Debug, Clone, Copy)]
+struct Split {
+    orig: Request,
+    prefill: Option<RequestOutcome>,
+}
+
 /// A fleet of engine replicas behind a [`Router`].
 ///
 /// The driver runs in rounds on one global clock. Each
@@ -335,11 +342,9 @@ pub struct ClusterSim<'a> {
     /// Per-engine cursor into [`Engine::outcomes`]: completions before
     /// it are already classified (split bookkeeping done).
     seen_outcomes: Vec<usize>,
-    /// Original requests of in-progress splits, by id (`BTreeMap` by the
-    /// determinism contract — see `ador-lint`).
-    origs: BTreeMap<u64, Request>,
-    /// Completed prefill halves awaiting their decode half, by id.
-    pending_stitch: BTreeMap<u64, RequestOutcome>,
+    /// In-progress splits by request id (`BTreeMap` by the determinism
+    /// contract — see `ador-lint`).
+    splits: BTreeMap<u64, Split>,
     /// Fully stitched end-to-end outcomes (disaggregated runs only).
     stitched: Vec<RequestOutcome>,
     /// Transfer-span telemetry lane (replica index + event), kept at
@@ -466,8 +471,7 @@ impl<'a> ClusterSim<'a> {
             kv_bytes_per_token: model.kv_bytes_per_token().get(),
             transfers: BinaryHeap::new(),
             seen_outcomes: vec![0; replicas],
-            origs: BTreeMap::new(),
-            pending_stitch: BTreeMap::new(),
+            splits: BTreeMap::new(),
             stitched: Vec::new(),
             transfer_events: Vec::new(),
             kv_transfers: 0,
@@ -706,8 +710,10 @@ impl<'a> ClusterSim<'a> {
                 self.seen_outcomes[idx] += 1;
                 if o.request.imported_context > 0 {
                     self.stitch(o);
-                } else if self.origs.contains_key(&o.request.id) {
-                    self.launch_transfer(idx, o);
+                } else if let Some(split) = self.splits.get_mut(&o.request.id) {
+                    split.prefill = Some(o);
+                    let orig = split.orig;
+                    self.launch_transfer(idx, orig, o);
                 } else {
                     self.stitched.push(o);
                 }
@@ -715,11 +721,10 @@ impl<'a> ClusterSim<'a> {
         }
     }
 
-    /// A prefill half just completed on replica `src`: price the KV
-    /// handoff (latency + context × bytes-per-token over the link) and
-    /// schedule the decode-side continuation at its maturity.
-    fn launch_transfer(&mut self, src: usize, prefill: RequestOutcome) {
-        let orig = self.origs[&prefill.request.id];
+    /// The prefill half of `orig` just completed on replica `src`: price
+    /// the KV handoff (latency + context × bytes-per-token over the link)
+    /// and schedule the decode-side continuation at its maturity.
+    fn launch_transfer(&mut self, src: usize, orig: Request, prefill: RequestOutcome) {
         // ador-lint: allow(panic) — invariant: transfers only exist under disaggregation
         let link = self.link.expect("disaggregated driver");
         let done_at = orig.arrival + prefill.e2e;
@@ -754,7 +759,6 @@ impl<'a> ClusterSim<'a> {
                 },
             ));
         }
-        self.pending_stitch.insert(orig.id, prefill);
         self.transfers.push(Reverse(TransferAt {
             time: maturity,
             request,
@@ -766,9 +770,10 @@ impl<'a> ClusterSim<'a> {
     fn stitch(&mut self, decode: RequestOutcome) {
         let id = decode.request.id;
         // ador-lint: allow(panic) — invariant: a decode half always follows its recorded split
-        let orig = self.origs.remove(&id).expect("split");
+        let split = self.splits.remove(&id).expect("split");
         // ador-lint: allow(panic) — invariant: the prefill half was stored before the transfer
-        let prefill = self.pending_stitch.remove(&id).expect("split");
+        let prefill = split.prefill.expect("prefill half");
+        let orig = split.orig;
         let ttft = prefill.ttft;
         let e2e = (decode.request.arrival + decode.e2e) - orig.arrival;
         // Token 1 lands at the prefill side's first-token instant, token
@@ -848,7 +853,13 @@ impl<'a> ClusterSim<'a> {
         let mut job = cr.request;
         if self.disaggregated() && job.output_tokens > 1 {
             job.output_tokens = 1;
-            self.origs.insert(job.id, cr.request);
+            self.splits.insert(
+                job.id,
+                Split {
+                    orig: cr.request,
+                    prefill: None,
+                },
+            );
         }
         self.submit_to(idx, job)?;
         self.assignments.push((cr.request.id, Some(idx)));
@@ -948,17 +959,18 @@ impl<'a> ClusterSim<'a> {
         self.engines.iter().map(|e| e.outcomes()).collect()
     }
 
-    /// Builds the fleet report. The merged fleet [`QosReport`] is exact:
-    /// latency percentiles come from the pooled per-request outcomes and
-    /// all throughput figures are measured over the shared fleet clock
-    /// (the latest replica finish time) via [`QosReport::merge_exact`] —
-    /// per-replica timelines are never mixed.
+    /// Builds the fleet report. The fleet [`QosReport`] is exact: latency
+    /// percentiles come from the pooled end-to-end outcomes (stitched
+    /// ones under disaggregation) and all throughput figures are measured
+    /// over the shared fleet clock (the latest replica finish time) via
+    /// [`QosReport::pool`] — per-replica timelines are never mixed.
     ///
     /// # Panics
     ///
     /// Panics if the fleet has not fully drained (call after
     /// [`ClusterSim::advance`] returns `false`), or if its books do not
-    /// close: `submitted != completed + rejected` (a driver bug).
+    /// close: `submitted != completed + rejected`, or the engines'
+    /// completions are not `completed + kv_transfers` (a driver bug).
     pub fn finish(mut self) -> FleetReport {
         assert!(self.is_done(), "finish() requires a drained fleet");
         let telemetry = self.collect_telemetry();
@@ -967,47 +979,31 @@ impl<'a> ClusterSim<'a> {
             _ => None,
         };
         let per_replica: Vec<Option<QosReport>> = self.engines.iter().map(|e| e.report()).collect();
-        let completed_reports: Vec<QosReport> = per_replica.iter().flatten().cloned().collect();
         // The pooled copy of the end-to-end outcomes lives only while the
         // fleet QoS is built, keeping it out of the report's peak memory.
         let fleet = {
             let pooled: Vec<RequestOutcome> = self.e2e_outcomes().copied().collect();
-            // Invariant: every offered request is routed once and then either
-            // shed or completed end to end exactly once, so a drained fleet's
-            // books close in both topologies. O(1), checked in every build.
+            // Invariants, checked in every build for both topologies (O(1)
+            // and O(replicas)): every offered request is routed once and
+            // then either shed or completed end to end exactly once; and
+            // the engines completed one half per request plus one more per
+            // split (a split request yields a prefill half, a transfer and
+            // a decode half).
             assert_eq!(
                 self.offered,
                 pooled.len() + self.rejected(),
                 "conservation must close the books"
             );
-            if pooled.is_empty() {
-                None
-            } else if self.disaggregated() {
-                // Per-replica reports describe halves. Counters (tokens
-                // prefilled/generated, preemptions, peaks, step means) sum
-                // and max correctly over halves, but every latency and
-                // throughput population must come from the stitched
-                // end-to-end outcomes — a half's TTFT or e2e means nothing
-                // to a user.
-                let merged = QosReport::merge(&completed_reports);
-                let exact =
-                    QosReport::from_outcomes(&pooled, merged.makespan, EngineCounters::default());
-                Some(QosReport {
-                    completed: exact.completed,
-                    ttft: exact.ttft,
-                    tbt: exact.tbt,
-                    e2e: exact.e2e,
-                    ttft_hist: exact.ttft_hist,
-                    tbt_hist: exact.tbt_hist,
-                    e2e_hist: exact.e2e_hist,
-                    requests_per_sec: exact.requests_per_sec,
-                    tokens_per_sec: exact.tokens_per_sec,
-                    goodput_tokens_per_sec: exact.goodput_tokens_per_sec,
-                    ..merged
-                })
-            } else {
-                Some(QosReport::merge_exact(&completed_reports, &pooled))
-            }
+            assert_eq!(
+                per_replica
+                    .iter()
+                    .flatten()
+                    .map(|r| r.completed)
+                    .sum::<usize>(),
+                pooled.len() + self.kv_transfers,
+                "every engine completion is a request or one half of a split"
+            );
+            (!pooled.is_empty()).then(|| QosReport::pool(per_replica.iter().flatten(), &pooled))
         };
 
         let tokens_per_replica: Vec<f64> = self
@@ -1371,6 +1367,15 @@ mod tests {
         assert!(report.kv_transferred_tokens > 60, "contexts carry tokens");
         let fleet_qos = report.fleet.expect("completions produce a report");
         assert_eq!(fleet_qos.completed, 60);
+        // The fleet QoS counts stitched requests, while its engine
+        // counters sum over the per-replica halves: every split yields a
+        // prefill half and a decode half.
+        let halves: Vec<&QosReport> = report.per_replica.iter().flatten().collect();
+        let sum = |f: fn(&QosReport) -> usize| halves.iter().map(|r| f(r)).sum::<usize>();
+        assert_eq!(sum(|r| r.completed), 60 + report.kv_transfers);
+        assert_eq!(fleet_qos.prefilled_tokens, sum(|r| r.prefilled_tokens));
+        assert_eq!(fleet_qos.generated_tokens, sum(|r| r.generated_tokens));
+        assert_eq!(fleet_qos.preemptions, sum(|r| r.preemptions));
         // Stitched lifecycles are whole: generated tokens across the two
         // halves equal the declared response lengths.
         let by_tenant: usize = report.tenants.iter().map(|t| t.completed).sum();

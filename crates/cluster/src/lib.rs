@@ -49,9 +49,9 @@
 //!   [`ClusterConfig::decode_policy`]. Conservation extends to the
 //!   link: `submitted == completed + rejected + in_flight +
 //!   in_transfer` at every round boundary.
-//! - **[`FleetReport`]** — fleet-wide QoS: the merged engine report
+//! - **[`FleetReport`]** — fleet-wide QoS: the pooled engine report
 //!   (exact union percentiles via
-//!   [`QosReport::merge_exact`](ador_serving::QosReport::merge_exact)),
+//!   [`QosReport::pool`](ador_serving::QosReport::pool)),
 //!   per-tenant SLO attainment (shed requests count as misses),
 //!   per-replica utilization imbalance, the full routing trace, and the
 //!   KV-transfer counters of a disaggregated run.

@@ -139,11 +139,11 @@ pub struct FleetReport {
     pub completed: usize,
     /// Requests shed by admission control.
     pub rejected: usize,
-    /// The merged engine-level report, or `None` if nothing completed.
-    /// Built via [`QosReport::merge_exact`] from the pooled per-request
-    /// outcomes on the shared fleet clock, so its latency percentiles are
-    /// exact union percentiles and its makespan/throughput never mix
-    /// per-replica timelines.
+    /// The fleet-wide engine-level report, or `None` if nothing
+    /// completed. Built via [`QosReport::pool`] from the per-replica
+    /// counters and the pooled end-to-end outcomes on the shared fleet
+    /// clock, so its latency percentiles are exact union percentiles and
+    /// its makespan/throughput never mix per-replica timelines.
     pub fleet: Option<QosReport>,
     /// Per-replica reports; `None` for replicas that completed nothing.
     pub per_replica: Vec<Option<QosReport>>,

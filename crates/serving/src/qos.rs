@@ -147,10 +147,9 @@ pub struct QosReport {
     pub accepted_tokens: usize,
     /// Drafted tokens the target model rejected.
     pub rejected_tokens: usize,
-    /// Log-bucketed TTFT population. Unlike the [`LatencyStats`] summary,
-    /// histograms merge exactly (bucket counts add), so fleet-level
-    /// percentiles derived from the merged histogram are within the bucket
-    /// width (6.25 %) of the true union percentile.
+    /// Log-bucketed TTFT population (bucket width at most 6.25 %). A
+    /// fleet report builds its histograms from the pooled outcomes, like
+    /// its [`LatencyStats`].
     pub ttft_hist: LatencyHistogram,
     /// Log-bucketed per-request mean-TBT population.
     pub tbt_hist: LatencyHistogram,
@@ -235,40 +234,37 @@ impl QosReport {
         }
     }
 
-    /// Merges per-replica reports into one fleet-wide report.
+    /// Pools per-replica reports and the fleet's end-to-end `outcomes`
+    /// into one fleet-wide report.
     ///
-    /// Counts (`completed`, `preemptions`) are summed and peaks are maxed.
-    /// `makespan` is the latest replica finish time, and the throughput
-    /// figures (requests, tokens, goodput) are recomputed over it from
-    /// the summed totals (tokens are recovered as `rate × makespan` per
-    /// replica, which is exact). `mean_batch` and `mean_queue_depth` are makespan-weighted,
-    /// approximating a fleet-time average across replicas whose step
-    /// grids differ.
-    ///
-    /// Latency populations merge through the log-bucketed histograms,
-    /// whose bucket counts add exactly: the fleet percentiles are read
-    /// from the merged histogram and land within one bucket (6.25 %)
-    /// above the true union percentile, never *below* it, so fleet-level
-    /// SLO checks stay conservative. Means and maxima are exact. A
-    /// single-report merge is the identity.
+    /// Engine counters come from the replicas: token and preemption
+    /// counters sum, peaks are maxed, and `mean_batch`/`mean_queue_depth`
+    /// are makespan-weighted, approximating a fleet-time average across
+    /// replicas whose step grids differ. `makespan` is the latest replica
+    /// finish time. Everything else — `completed`, the exact union latency
+    /// percentiles, the histograms and the throughput figures — is
+    /// [`QosReport::from_outcomes`] over `outcomes` on that makespan, so
+    /// per-replica timelines are never mixed. The replicas may report
+    /// request halves (a disaggregated fleet's prefill and decode sides)
+    /// while `outcomes` holds the stitched end-to-end requests. A single
+    /// replica report is returned unchanged.
     ///
     /// # Panics
     ///
-    /// Panics if `reports` is empty or no report completed any request.
-    pub fn merge(reports: &[QosReport]) -> Self {
-        let completed: usize = reports.iter().map(|r| r.completed).sum();
-        assert!(
-            !reports.is_empty() && completed > 0,
-            "cannot merge reports with no completed requests"
-        );
-        if let [only] = reports {
+    /// Panics if `outcomes` is empty, unless a single replica report is
+    /// passed through.
+    pub fn pool<'r>(
+        replicas: impl IntoIterator<Item = &'r QosReport>,
+        outcomes: &[RequestOutcome],
+    ) -> Self {
+        let reports: Vec<&QosReport> = replicas.into_iter().collect();
+        if let [only] = reports[..] {
             return only.clone();
         }
         let makespan = reports
             .iter()
             .map(|r| r.makespan)
             .fold(Seconds::ZERO, Seconds::max);
-        let span = makespan.get().max(1e-12);
         let total_span: f64 = reports.iter().map(|r| r.makespan.get()).sum();
         let time_weighted = |pick: fn(&QosReport) -> f64| {
             if total_span <= 0.0 {
@@ -281,100 +277,26 @@ impl QosReport {
                     / total_span
             }
         };
-        let pooled = |pick: fn(&QosReport) -> &LatencyHistogram| {
-            let mut hist = LatencyHistogram::new();
-            for r in reports {
-                hist.merge(pick(r));
-            }
-            hist
-        };
-        let ttft_hist = pooled(|r| &r.ttft_hist);
-        let tbt_hist = pooled(|r| &r.tbt_hist);
-        let e2e_hist = pooled(|r| &r.e2e_hist);
-        let stats = |hist: &LatencyHistogram| LatencyStats {
-            mean: hist.mean(),
-            p50: hist.percentile(0.50),
-            p95: hist.percentile(0.95),
-            p99: hist.percentile(0.99),
-            max: hist.max(),
-        };
-        let tokens: f64 = reports
-            .iter()
-            .map(|r| r.tokens_per_sec * r.makespan.get())
-            .sum();
-        let good_tokens: f64 = reports
-            .iter()
-            .map(|r| r.goodput_tokens_per_sec * r.makespan.get())
-            .sum();
-        Self {
-            completed,
-            makespan,
-            ttft: stats(&ttft_hist),
-            tbt: stats(&tbt_hist),
-            e2e: stats(&e2e_hist),
-            ttft_hist,
-            tbt_hist,
-            e2e_hist,
-            requests_per_sec: conv::f64_from_usize(completed) / span,
-            tokens_per_sec: tokens / span,
-            goodput_tokens_per_sec: good_tokens / span,
+        let sum = |pick: fn(&QosReport) -> usize| reports.iter().map(|r| pick(r)).sum();
+        let max =
+            |pick: fn(&QosReport) -> usize| reports.iter().map(|r| pick(r)).max().unwrap_or(0);
+        let counters = EngineCounters {
             mean_batch: time_weighted(|r| r.mean_batch),
-            peak_batch: reports.iter().map(|r| r.peak_batch).max().unwrap_or(0),
-            preemptions: reports.iter().map(|r| r.preemptions).sum(),
+            peak_batch: max(|r| r.peak_batch),
+            preemptions: sum(|r| r.preemptions),
             mean_queue_depth: time_weighted(|r| r.mean_queue_depth),
-            peak_queue_depth: reports
-                .iter()
-                .map(|r| r.peak_queue_depth)
-                .max()
-                .unwrap_or(0),
-            peak_kv_tokens: reports.iter().map(|r| r.peak_kv_tokens).max().unwrap_or(0),
-            prefilled_tokens: reports.iter().map(|r| r.prefilled_tokens).sum(),
-            prefix_hit_tokens: reports.iter().map(|r| r.prefix_hit_tokens).sum(),
-            prefix_miss_tokens: reports.iter().map(|r| r.prefix_miss_tokens).sum(),
-            prefix_evicted_tokens: reports.iter().map(|r| r.prefix_evicted_tokens).sum(),
-            generated_tokens: reports.iter().map(|r| r.generated_tokens).sum(),
-            drafted_tokens: reports.iter().map(|r| r.drafted_tokens).sum(),
-            accepted_tokens: reports.iter().map(|r| r.accepted_tokens).sum(),
-            rejected_tokens: reports.iter().map(|r| r.rejected_tokens).sum(),
-        }
-    }
-
-    /// Merges per-replica reports like [`QosReport::merge`], then replaces
-    /// every population-derived figure with the exact value recomputed
-    /// from the pooled per-request `outcomes` on the shared fleet clock:
-    /// latency percentiles are the true union percentiles (not the
-    /// merged histograms' one-bucket upper bound), and the throughput figures divide the pooled token totals by the
-    /// fleet makespan (the latest replica finish time) directly instead of
-    /// recovering them from per-replica rates.
-    ///
-    /// Counter aggregates that have no per-request population — summed
-    /// token/preemption counters, maxed peaks, makespan-weighted step
-    /// means — keep their [`QosReport::merge`] semantics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reports` is empty, nothing completed, or `outcomes` does
-    /// not hold exactly the requests the reports counted.
-    pub fn merge_exact(reports: &[QosReport], outcomes: &[RequestOutcome]) -> Self {
-        let merged = Self::merge(reports);
-        assert_eq!(
-            outcomes.len(),
-            merged.completed,
-            "pooled outcomes must cover exactly the merged reports' requests"
-        );
-        let exact = Self::from_outcomes(outcomes, merged.makespan, EngineCounters::default());
-        Self {
-            ttft: exact.ttft,
-            tbt: exact.tbt,
-            e2e: exact.e2e,
-            ttft_hist: exact.ttft_hist,
-            tbt_hist: exact.tbt_hist,
-            e2e_hist: exact.e2e_hist,
-            requests_per_sec: exact.requests_per_sec,
-            tokens_per_sec: exact.tokens_per_sec,
-            goodput_tokens_per_sec: exact.goodput_tokens_per_sec,
-            ..merged
-        }
+            peak_queue_depth: max(|r| r.peak_queue_depth),
+            peak_kv_tokens: max(|r| r.peak_kv_tokens),
+            prefilled_tokens: sum(|r| r.prefilled_tokens),
+            prefix_hit_tokens: sum(|r| r.prefix_hit_tokens),
+            prefix_miss_tokens: sum(|r| r.prefix_miss_tokens),
+            prefix_evicted_tokens: sum(|r| r.prefix_evicted_tokens),
+            generated_tokens: sum(|r| r.generated_tokens),
+            drafted_tokens: sum(|r| r.drafted_tokens),
+            accepted_tokens: sum(|r| r.accepted_tokens),
+            rejected_tokens: sum(|r| r.rejected_tokens),
+        };
+        Self::from_outcomes(outcomes, makespan, counters)
     }
 }
 
@@ -491,12 +413,13 @@ mod tests {
     }
 
     #[test]
-    fn report_merge_sums_counts_and_maxes_peaks() {
+    fn pool_sums_counts_and_maxes_peaks() {
+        let population = |n: usize| -> Vec<RequestOutcome> {
+            (0..n as u64).map(|i| outcome(i, 50.0, 20.0)).collect()
+        };
         let mk = |n: usize, makespan: f64, batch: f64| {
-            let outcomes: Vec<RequestOutcome> =
-                (0..n as u64).map(|i| outcome(i, 50.0, 20.0)).collect();
             QosReport::from_outcomes(
-                &outcomes,
+                &population(n),
                 Seconds::new(makespan),
                 EngineCounters {
                     mean_batch: batch,
@@ -518,11 +441,12 @@ mod tests {
         };
         let a = mk(10, 5.0, 4.0);
         let b = mk(30, 10.0, 8.0);
-        let fleet = QosReport::merge(&[a.clone(), b.clone()]);
+        let fleet = QosReport::pool([&a, &b], &population(40));
         assert_eq!(fleet.completed, 40);
         assert_eq!(fleet.makespan, Seconds::new(10.0));
         assert_eq!(fleet.preemptions, 2);
         assert_eq!(fleet.peak_batch, 30);
+        assert_eq!(fleet.peak_queue_depth, 15);
         assert_eq!(fleet.peak_kv_tokens, 3000);
         // Prefix/prefill token counters sum across replicas.
         assert_eq!(fleet.prefilled_tokens, 50 * 40);
@@ -538,31 +462,29 @@ mod tests {
             fleet.accepted_tokens + fleet.rejected_tokens
         );
         assert!((fleet.acceptance_rate() - 0.75).abs() < 1e-12);
-        // Goodput merges like tokens: every outcome here meets (or has
-        // no) SLO, so goodput equals token throughput.
+        // Every outcome here has no SLO, so goodput equals throughput.
         assert!((fleet.goodput_tokens_per_sec - fleet.tokens_per_sec).abs() < 1e-9);
-        // 40 requests over the 10 s fleet makespan.
+        // 40 ten-token requests over the 10 s fleet makespan.
         assert!((fleet.requests_per_sec - 4.0).abs() < 1e-9);
-        // Tokens: 10·10 over 5 s plus 30·10 over 10 s, replayed over 10 s.
         assert!((fleet.tokens_per_sec - 40.0).abs() < 1e-9);
-        // Makespan-weighted means: (4·5 + 8·10)/15.
+        // Makespan-weighted means: (4·5 + 8·10)/15 and (2·5 + 4·10)/15.
         assert!((fleet.mean_batch - 100.0 / 15.0).abs() < 1e-9);
-        // A single-report merge is the identity.
-        assert_eq!(QosReport::merge(std::slice::from_ref(&a)), a);
+        assert!((fleet.mean_queue_depth - 50.0 / 15.0).abs() < 1e-9);
+        // A single replica report passes through unchanged.
+        assert_eq!(QosReport::pool([&a], &population(10)), a);
     }
 
     #[test]
     #[should_panic(expected = "no completed requests")]
-    fn report_merge_rejects_empty() {
-        let _ = QosReport::merge(&[]);
+    fn pool_rejects_empty() {
+        let _ = QosReport::pool(&[], &[]);
     }
 
     #[test]
-    fn merge_exact_recovers_the_union_population() {
+    fn pool_reports_the_exact_union_population() {
         // Two deliberately imbalanced replicas: one holds the fast 90 % of
-        // the population, the other the slow tail. The bound-based merge
-        // overstates the union p50/p95; the exact merge must equal a
-        // single-engine report over the pooled population on the fleet
+        // the population, the other the slow tail. The pooled report must
+        // equal a single-engine report over the union on the fleet
         // makespan.
         let fast: Vec<RequestOutcome> = (1..=90).map(|i| outcome(i, i as f64, 10.0)).collect();
         let slow: Vec<RequestOutcome> = (91..=100)
@@ -572,66 +494,11 @@ mod tests {
         let b = QosReport::from_outcomes(&slow, Seconds::new(9.0), EngineCounters::default());
         let pooled: Vec<RequestOutcome> = fast.iter().chain(&slow).copied().collect();
 
-        let bound = QosReport::merge(&[a.clone(), b.clone()]);
-        let exact = QosReport::merge_exact(&[a, b], &pooled);
+        let fleet = QosReport::pool([&a, &b], &pooled);
         let truth = QosReport::from_outcomes(&pooled, Seconds::new(9.0), EngineCounters::default());
-
-        assert_eq!(exact.ttft, truth.ttft);
-        assert_eq!(exact.tbt, truth.tbt);
-        assert_eq!(exact.e2e, truth.e2e);
-        assert_eq!(exact.makespan, Seconds::new(9.0));
-        assert!((exact.tokens_per_sec - truth.tokens_per_sec).abs() < 1e-12);
-        assert!((exact.goodput_tokens_per_sec - truth.goodput_tokens_per_sec).abs() < 1e-12);
-        assert!((exact.requests_per_sec - truth.requests_per_sec).abs() < 1e-12);
-        // The imbalance makes the bound strictly loose here — the exact
-        // path is a real improvement, not a rename.
-        assert!(bound.ttft.p50 > exact.ttft.p50);
-        assert!(bound.ttft.p95 > exact.ttft.p95);
-        // Counter aggregates keep their merge semantics.
-        assert_eq!(exact.completed, bound.completed);
-        assert_eq!(exact.peak_batch, bound.peak_batch);
-        assert_eq!(exact.preemptions, bound.preemptions);
-    }
-
-    #[test]
-    fn merged_histogram_percentiles_bracket_the_exact_union() {
-        // The histogram-backed merge must land between the exact union
-        // percentile and one bucket (6.25 %) above it.
-        let fast: Vec<RequestOutcome> = (1..=90).map(|i| outcome(i, i as f64, 10.0)).collect();
-        let slow: Vec<RequestOutcome> = (91..=100)
-            .map(|i| outcome(i, i as f64 * 10.0, 10.0))
-            .collect();
-        let a = QosReport::from_outcomes(&fast, Seconds::new(4.0), EngineCounters::default());
-        let b = QosReport::from_outcomes(&slow, Seconds::new(9.0), EngineCounters::default());
-        let pooled: Vec<RequestOutcome> = fast.iter().chain(&slow).copied().collect();
-        let truth = QosReport::from_outcomes(&pooled, Seconds::new(9.0), EngineCounters::default());
-
-        let merged = QosReport::merge(&[a, b]);
-        for (m, t) in [
-            (merged.ttft, truth.ttft),
-            (merged.tbt, truth.tbt),
-            (merged.e2e, truth.e2e),
-        ] {
-            for (got, exact) in [(m.p50, t.p50), (m.p95, t.p95), (m.p99, t.p99)] {
-                assert!(
-                    got >= exact && got <= exact * 1.0625,
-                    "merged percentile {got} must bracket exact {exact}"
-                );
-            }
-            assert_eq!(m.max, t.max, "maxima merge exactly");
-            assert!(
-                (m.mean.get() - t.mean.get()).abs() < 1e-9,
-                "means are exact"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "pooled outcomes")]
-    fn merge_exact_rejects_mismatched_outcomes() {
-        let outcomes: Vec<RequestOutcome> = (0..4).map(|i| outcome(i, 50.0, 20.0)).collect();
-        let report =
-            QosReport::from_outcomes(&outcomes, Seconds::new(1.0), EngineCounters::default());
-        let _ = QosReport::merge_exact(&[report], &outcomes[..2]);
+        assert_eq!(fleet, truth);
+        // The union percentiles sit between the two replicas' own: no
+        // per-replica figure survives into the fleet view.
+        assert!(a.ttft.p95 < fleet.ttft.p95 && fleet.ttft.p95 < b.ttft.p95);
     }
 }

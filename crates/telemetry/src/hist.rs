@@ -6,9 +6,9 @@
 //! relative bucket width is at most 1/16 (6.25%) everywhere. Bucket
 //! boundaries are *fixed constants of the type* — they do not depend on
 //! the recorded data — which makes merging two histograms an exact
-//! elementwise count addition. That is the property that lets
-//! `QosReport::merge` report pooled percentiles instead of the old
-//! conservative max-over-groups upper bound.
+//! elementwise count addition, so per-replica histograms (the phase
+//! histograms of the `trace_serving` example, say) pool into a
+//! fleet-wide one without keeping the raw samples.
 //!
 //! Bucket indexing uses only f64 bit manipulation (exponent plus the
 //! top four mantissa bits): no `log`, no libm, bit-identical on every
