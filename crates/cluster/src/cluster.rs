@@ -838,10 +838,12 @@ impl<'a> ClusterSim<'a> {
             .is_none_or(|cap| self.snapshots[idx].queue_depth < cap);
         if !admit {
             // The shed is attributed to the replica the router *would*
-            // have used — that is the queue whose pressure caused it.
+            // have used — that is the queue whose pressure caused it —
+            // and stamped at the arrival it turned away (the fleet clock
+            // may already be past it: a busy sweep overshoots the horizon).
             if let Some(sink) = self.engines[idx].event_sink_mut() {
                 sink.record(&Event {
-                    time: self.clock,
+                    time: cr.request.arrival,
                     request: cr.request.id,
                     kind: EventKind::Shed,
                 });
@@ -1310,10 +1312,48 @@ mod tests {
     }
 
     #[test]
+    fn sheds_are_stamped_at_their_arrival() {
+        // The replicas swept before a round routes its arrivals may have
+        // run past them (a busy iteration overshoots the horizon), so a
+        // shed carries its request's own arrival, not the fleet clock.
+        let arch = ador_table3();
+        let model = presets::llama3_8b();
+        let mix = crate::scenarios::session_workload(1.5 * crate::scenarios::SESSION_RATE);
+        let stream = mix.generate(600, 3);
+        let arrivals: BTreeMap<u64, Seconds> = stream
+            .iter()
+            .map(|cr| (cr.request.id, cr.request.arrival))
+            .collect();
+        let cfg = crate::scenarios::session_fleet(5, RouterPolicy::CacheAffinity)
+            .with_queue_cap(4)
+            .with_telemetry(TelemetryConfig::trace());
+        let report = ClusterSim::new(&arch, &model, Deployment::single_device(), cfg)
+            .unwrap()
+            .run_stream(&mix, stream)
+            .unwrap();
+        assert!(report.rejected > 0, "overload must shed");
+        let telemetry = report.telemetry.expect("traced run carries telemetry");
+        let sheds: Vec<&Event> = telemetry
+            .events
+            .iter()
+            .flatten()
+            .filter(|e| e.kind == EventKind::Shed)
+            .collect();
+        assert_eq!(sheds.len(), report.rejected);
+        for shed in sheds {
+            assert_eq!(
+                shed.time, arrivals[&shed.request],
+                "shed of request {} is stamped off its arrival",
+                shed.request
+            );
+        }
+    }
+
+    #[test]
     fn lockstep_stamps_sheds_like_the_event_driver() {
-        // A shed is stamped with the fleet clock, which both drive modes
-        // advance from the replicas they sweep, so traced runs under
-        // admission control agree event for event.
+        // Both drive modes route against the same snapshots and stamp a
+        // shed at its arrival, so traced runs under admission control
+        // agree event for event.
         let arch = ador_table3();
         let model = presets::llama3_8b();
         let run = |drive: DriveMode| {
