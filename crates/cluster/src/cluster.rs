@@ -247,7 +247,6 @@ impl Ord for TransferAt {
 /// One in-progress split request under disaggregation: the original
 /// request, and its prefill half once that completes (it waits here for
 /// the decode half to be stitched onto it).
-#[derive(Debug, Clone, Copy)]
 struct Split {
     orig: Request,
     prefill: Option<RequestOutcome>,
@@ -770,10 +769,9 @@ impl<'a> ClusterSim<'a> {
     fn stitch(&mut self, decode: RequestOutcome) {
         let id = decode.request.id;
         // ador-lint: allow(panic) — invariant: a decode half always follows its recorded split
-        let split = self.splits.remove(&id).expect("split");
+        let Split { orig, prefill } = self.splits.remove(&id).expect("split");
         // ador-lint: allow(panic) — invariant: the prefill half was stored before the transfer
-        let prefill = split.prefill.expect("prefill half");
-        let orig = split.orig;
+        let prefill = prefill.expect("split");
         let ttft = prefill.ttft;
         let e2e = (decode.request.arrival + decode.e2e) - orig.arrival;
         // Token 1 lands at the prefill side's first-token instant, token
@@ -985,23 +983,19 @@ impl<'a> ClusterSim<'a> {
         // fleet QoS is built, keeping it out of the report's peak memory.
         let fleet = {
             let pooled: Vec<RequestOutcome> = self.e2e_outcomes().copied().collect();
-            // Invariants, checked in every build for both topologies (O(1)
-            // and O(replicas)): every offered request is routed once and
-            // then either shed or completed end to end exactly once; and
-            // the engines completed one half per request plus one more per
-            // split (a split request yields a prefill half, a transfer and
-            // a decode half).
+            // Invariants, checked in every build for both topologies: every
+            // offered request is routed once and then either shed or
+            // completed end to end exactly once; and the engines complete
+            // one outcome per unsplit request and two (the halves around
+            // one KV transfer) per split one.
             assert_eq!(
                 self.offered,
                 pooled.len() + self.rejected(),
                 "conservation must close the books"
             );
+            let engine_completions: usize = per_replica.iter().flatten().map(|r| r.completed).sum();
             assert_eq!(
-                per_replica
-                    .iter()
-                    .flatten()
-                    .map(|r| r.completed)
-                    .sum::<usize>(),
+                engine_completions,
                 pooled.len() + self.kv_transfers,
                 "every engine completion is a request or one half of a split"
             );
