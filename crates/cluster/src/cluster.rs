@@ -1420,6 +1420,36 @@ mod tests {
     }
 
     #[test]
+    fn single_unified_replica_disaggregated_fleet_reports_stitched_requests() {
+        // One Unified replica serves both pools, so every completion of
+        // the run — both halves of every split — lands in one engine
+        // report. The fleet QoS must still count and time the stitched
+        // requests, carrying only that replica's counters.
+        let arch = ador_table3();
+        let model = presets::llama3_8b();
+        let cfg = ClusterConfig::new(1, RouterPolicy::JoinShortestQueue)
+            .with_engine(SimConfig::new(1.0, 64))
+            .with_disaggregation(disagg_link());
+        let mix = two_class_mix(6.0);
+        let mut sim = ClusterSim::new(&arch, &model, Deployment::single_device(), cfg).unwrap();
+        sim.submit_stream(&mix, mix.generate(40, 5));
+        while sim.advance().unwrap() {}
+        let stitched: Vec<RequestOutcome> = sim.e2e_outcomes().copied().collect();
+        let report = sim.finish();
+
+        assert_eq!(report.completed, 40);
+        assert!(report.kv_transfers > 0, "requests split across the link");
+        let only = report.per_replica[0].as_ref().expect("the replica served");
+        assert_eq!(only.completed, report.completed + report.kv_transfers);
+        let fleet_qos = report.fleet.expect("completions produce a report");
+        assert_eq!(fleet_qos.completed, report.completed);
+        assert_eq!(
+            fleet_qos,
+            QosReport::from_outcomes(&stitched, only.makespan, only.counters())
+        );
+    }
+
+    #[test]
     fn disaggregated_drivers_are_bit_identical() {
         let model = presets::llama3_8b();
         let fleet = pd_fleet(2, 2);

@@ -208,6 +208,26 @@ impl QosReport {
         }
     }
 
+    /// The engine-level counters this report carries.
+    pub fn counters(&self) -> EngineCounters {
+        EngineCounters {
+            mean_batch: self.mean_batch,
+            peak_batch: self.peak_batch,
+            preemptions: self.preemptions,
+            mean_queue_depth: self.mean_queue_depth,
+            peak_queue_depth: self.peak_queue_depth,
+            peak_kv_tokens: self.peak_kv_tokens,
+            prefilled_tokens: self.prefilled_tokens,
+            prefix_hit_tokens: self.prefix_hit_tokens,
+            prefix_miss_tokens: self.prefix_miss_tokens,
+            prefix_evicted_tokens: self.prefix_evicted_tokens,
+            generated_tokens: self.generated_tokens,
+            drafted_tokens: self.drafted_tokens,
+            accepted_tokens: self.accepted_tokens,
+            rejected_tokens: self.rejected_tokens,
+        }
+    }
+
     /// Realized draft acceptance rate: `accepted / drafted`, or 0 when
     /// nothing was drafted (speculation off). With an i.i.d. per-token
     /// acceptance profile the realized rate runs *below* the profile:
@@ -247,19 +267,19 @@ impl QosReport {
     /// per-replica timelines are never mixed. The replicas may report
     /// request halves (a disaggregated fleet's prefill and decode sides)
     /// while `outcomes` holds the stitched end-to-end requests. A single
-    /// replica report is returned unchanged.
+    /// replica's counters and makespan are taken as they are, so pooling
+    /// one report over its own outcomes reproduces it exactly.
     ///
     /// # Panics
     ///
-    /// Panics if `outcomes` is empty, unless a single replica report is
-    /// passed through.
+    /// Panics if `outcomes` is empty.
     pub fn pool<'r>(
         replicas: impl IntoIterator<Item = &'r QosReport>,
         outcomes: &[RequestOutcome],
     ) -> Self {
         let reports: Vec<&QosReport> = replicas.into_iter().collect();
         if let [only] = reports[..] {
-            return only.clone();
+            return Self::from_outcomes(outcomes, only.makespan, only.counters());
         }
         let makespan = reports
             .iter()
@@ -470,8 +490,19 @@ mod tests {
         // Makespan-weighted means: (4·5 + 8·10)/15 and (2·5 + 4·10)/15.
         assert!((fleet.mean_batch - 100.0 / 15.0).abs() < 1e-9);
         assert!((fleet.mean_queue_depth - 50.0 / 15.0).abs() < 1e-9);
-        // A single replica report passes through unchanged.
+        // A single replica pooled over its own outcomes is reproduced
+        // exactly.
         assert_eq!(QosReport::pool([&a], &population(10)), a);
+        // Over a different population (a single replica that served both
+        // halves of split requests) only its counters and makespan carry
+        // over; the population figures come from the outcomes.
+        let stitched = population(4);
+        let one = QosReport::pool([&a], &stitched);
+        assert_eq!(
+            one,
+            QosReport::from_outcomes(&stitched, a.makespan, a.counters())
+        );
+        assert_eq!(one.completed, 4);
     }
 
     #[test]
